@@ -85,6 +85,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    started = time.perf_counter()
     corpus = load_corpus(Path(args.corpus), format=args.format)
     formats = [f.strip() for f in args.emit.split(",") if f.strip()]
     out: Path = args.out
@@ -100,7 +101,6 @@ def _dispatch(args) -> int:
         overrides=overrides, max_triples=args.max_triples,
     )
 
-    started = time.time()
     steps = {
         "chunk": _cmd_chunk,
         "patterns": _cmd_patterns,
@@ -401,7 +401,7 @@ def _write_manifest(out: Path, args, started: float) -> None:
         "tagger": args.tagger,
         "max_triples": args.max_triples,
         "min_support": args.min_support,
-        "elapsed_seconds": round(time.time() - started, 3),
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
     (out / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"

@@ -9,11 +9,15 @@ supported as an importer (``<root>/<ontology>/manifest.json`` plus
 
 CQs whose query text fails to parse are retained (the linguistic analyses
 still need them) and surfaced through :meth:`Corpus.parse_queries`.
+
+A loaded :class:`Corpus` is treated as immutable: its queries are parsed
+once, on first use, and every later analysis shares those results.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -95,8 +99,13 @@ class Corpus:
 
         Returns (asts keyed by CQ id, list of (cq id, error) for queries
         that did not parse).  CQs without a query are simply absent from
-        both.
+        both.  The queries are parsed on the first call only; every call
+        returns the same dict and list, which callers must not modify.
         """
+        return self._parsed
+
+    @cached_property
+    def _parsed(self) -> tuple[dict[str, QueryAst], list[tuple[str, str]]]:
         asts: dict[str, QueryAst] = {}
         errors: list[tuple[str, str]] = []
         for q in self.questions:

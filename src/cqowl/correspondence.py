@@ -192,12 +192,13 @@ def _target_satisfied(
     rule: SignalRule,
     ast: QueryAst,
     skeleton: Optional[str],
+    keywords: Optional[set[str]],
     skeleton_cache: dict[str, str],
 ) -> bool:
     if rule.target_kind == "verb":
         return ast.verb == rule.target_value
     if rule.target_kind == "keyword":
-        return rule.target_value in keyword_presence(ast)
+        return rule.target_value in keywords
     if rule.target_kind == "skeleton":
         expected = skeleton_cache.get(rule.id)
         if expected is None:
@@ -223,15 +224,19 @@ def mine_signals(
     non-evidential; whether a link is meaningful stays a human call.
     """
     skeleton_cache: dict[str, str] = {}
+    # keyword presence per row, computed when a keyword rule first needs it
+    keywords: list[Optional[set[str]]] = [None] * len(translated)
     out = []
     for rule in rules:
         denominator = 0
         numerator = 0
-        for _cq_id, raw, pattern_text, ast, skeleton in translated:
+        for i, (_cq_id, raw, pattern_text, ast, skeleton) in enumerate(translated):
             if not rule_matches(rule, raw, pattern_text):
                 continue
             denominator += 1
-            if _target_satisfied(rule, ast, skeleton, skeleton_cache):
+            if rule.target_kind == "keyword" and keywords[i] is None:
+                keywords[i] = keyword_presence(ast)
+            if _target_satisfied(rule, ast, skeleton, keywords[i], skeleton_cache):
                 numerator += 1
         out.append(
             SignalRow(

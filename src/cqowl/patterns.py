@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-LEVELS = ("candidate", "pattern", "higher")
+from .linguistics import NUMBER_WORDS
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,12 @@ def filter_candidates(
     patterns: list[Pattern] = []
     rejected: list[RejectedCandidate] = []
     for text, group in by_text.items():
-        accepted = [r for r in group if r.dematerialized or len(group) >= 2]
+        recurs = len(group) >= 2
+        accepted = []
         for r in group:
-            if r not in accepted:
+            if r.dematerialized or recurs:
+                accepted.append(r)
+            else:
                 rejected.append(
                     RejectedCandidate(
                         r.cq_id, r.ontology, text,
@@ -327,13 +330,10 @@ def avg_cqs_per_pattern(
 # Ren-style CQ feature classification (surface heuristics)
 
 _BINARY_INITIAL = {"is", "are", "does", "do", "can", "did", "has", "have", "will"}
-_SELECT_INITIAL = {"which", "what", "who", "where", "when"}
 _SUPERLATIVE_BLOCK = {
     "interest", "test", "rest", "best", "forest", "request", "west",
     "harvest", "guest", "latest",
 }
-_NUMBER_WORDS = {"two", "three", "four", "five", "six", "seven", "eight",
-                 "nine", "ten"}
 
 
 def classify_cq(text: str, chunks=None) -> CqFeatures:
@@ -368,7 +368,7 @@ def classify_cq(text: str, chunks=None) -> CqFeatures:
 
     modifier = "None"
     has_num = any(
-        t == "num" or t.isdigit() or t in _NUMBER_WORDS for t in tokens
+        t == "num" or t.isdigit() or t in NUMBER_WORDS for t in tokens
     )
     superlative = "best" in tokens or any(
         t.endswith("est") and len(t) > 4 and t not in _SUPERLATIVE_BLOCK

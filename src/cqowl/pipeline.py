@@ -1,7 +1,7 @@
-"""End-to-end analysis pipeline shared by the CLI subcommands."""
+"""Lazily computed analysis stages shared by the CLI subcommands."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -29,19 +29,91 @@ from .queryparse import QueryAst
 from .signatures import DEFAULT_MAX_TRIPLES, SignatureGroup, group_by_signature
 
 
-@dataclass
 class AnalysisBundle:
-    corpus: Corpus
-    sentences: dict[str, AnnotatedSentence]
-    candidates: list[CandidateRecord]
-    patterns: list[Pattern]
-    higher: list[Pattern]
-    rejected: list[RejectedCandidate]
-    asts: dict[str, QueryAst]
-    parse_errors: list[tuple[str, str]]
-    signature_groups: list[SignatureGroup]
-    signature_skipped: list[tuple[str, str]]
-    skeleton_by_cq: dict[str, str] = field(default_factory=dict)
+    """The analysis stages over one corpus, each computed on first access.
+
+    A stage runs at most once and only when it, or a stage after it, is
+    read, so a subcommand pays only for the stages it uses.  Query parsing
+    is memoized on the corpus itself and shared with the corpus-level
+    tables.
+    """
+
+    def __init__(
+        self,
+        corpus: Corpus,
+        tagger: str = "builtin",
+        conllu_dir: Optional[Path] = None,
+        overrides: Optional[dict[str, str]] = None,
+        max_triples: int = DEFAULT_MAX_TRIPLES,
+    ):
+        self.corpus = corpus
+        self.tagger = tagger
+        self.conllu_dir = conllu_dir
+        self.overrides = overrides
+        self.max_triples = max_triples
+
+    @cached_property
+    def sentences(self) -> dict[str, AnnotatedSentence]:
+        sentences = {}
+        for q in self.corpus.questions:
+            if self.tagger == "conllu":
+                path = Path(self.conllu_dir or ".") / f"{q.id}.conllu"
+                sentences[q.id] = annotate_sentence(
+                    q.id, q.text, source="conllu", conllu_path=path)
+            else:
+                sentences[q.id] = annotate_sentence(q.id, q.text, source="builtin")
+        return sentences
+
+    @cached_property
+    def candidates(self) -> list[CandidateRecord]:
+        sentences = self.sentences
+        return [
+            CandidateRecord(q.id, q.ontology, q.dematerialized,
+                            to_pattern_candidate(sentences[q.id]))
+            for q in self.corpus.questions
+        ]
+
+    @cached_property
+    def _filtered(self) -> tuple[list[Pattern], list[RejectedCandidate]]:
+        return filter_candidates(self.candidates, overrides=self.overrides)
+
+    @property
+    def patterns(self) -> list[Pattern]:
+        return self._filtered[0]
+
+    @property
+    def rejected(self) -> list[RejectedCandidate]:
+        return self._filtered[1]
+
+    @cached_property
+    def higher(self) -> list[Pattern]:
+        return higher_level_inventory(self.patterns)
+
+    @property
+    def asts(self) -> dict[str, QueryAst]:
+        return self.corpus.parse_queries()[0]
+
+    @property
+    def parse_errors(self) -> list[tuple[str, str]]:
+        return self.corpus.parse_queries()[1]
+
+    @cached_property
+    def _signatures(self) -> tuple[list[SignatureGroup], list[tuple[str, str]]]:
+        return group_by_signature(sorted(self.asts.items()),
+                                  max_triples=self.max_triples)
+
+    @property
+    def signature_groups(self) -> list[SignatureGroup]:
+        return self._signatures[0]
+
+    @property
+    def signature_skipped(self) -> list[tuple[str, str]]:
+        return self._signatures[1]
+
+    @cached_property
+    def skeleton_by_cq(self) -> dict[str, str]:
+        return {qid: g.signature.skeleton
+                for g in self.signature_groups for qid in g.member_ids}
 
     def translated_rows(self) -> list[tuple[str, str, str, QueryAst, Optional[str]]]:
         """(cq id, raw text, pattern-level text, ast, skeleton) per translated CQ."""
@@ -58,43 +130,8 @@ class AnalysisBundle:
         return rows
 
 
-def run_pipeline(
-    corpus: Corpus,
-    tagger: str = "builtin",
-    conllu_dir: Optional[Path] = None,
-    overrides: Optional[dict[str, str]] = None,
-    max_triples: int = DEFAULT_MAX_TRIPLES,
-) -> AnalysisBundle:
-    sentences: dict[str, AnnotatedSentence] = {}
-    candidates: list[CandidateRecord] = []
-    for q in corpus.questions:
-        if tagger == "conllu":
-            path = Path(conllu_dir or ".") / f"{q.id}.conllu"
-            sentence = annotate_sentence(q.id, q.text, source="conllu",
-                                         conllu_path=path)
-        else:
-            sentence = annotate_sentence(q.id, q.text, source="builtin")
-        sentences[q.id] = sentence
-        candidates.append(
-            CandidateRecord(
-                q.id, q.ontology, q.dematerialized,
-                to_pattern_candidate(sentence),
-            )
-        )
-
-    patterns, rejected = filter_candidates(candidates, overrides=overrides)
-    higher = higher_level_inventory(patterns)
-
-    asts, parse_errors = corpus.parse_queries()
-    groups, skipped = group_by_signature(sorted(asts.items()),
-                                         max_triples=max_triples)
-    skeleton_by_cq = {
-        qid: g.signature.skeleton for g in groups for qid in g.member_ids
-    }
-    return AnalysisBundle(
-        corpus, sentences, candidates, patterns, higher, rejected,
-        asts, parse_errors, groups, skipped, skeleton_by_cq,
-    )
+# Builds the bundle only; each stage runs when it is first read.
+run_pipeline = AnalysisBundle
 
 
 def mapping_for(bundle: AnalysisBundle, level: str = "pattern") \

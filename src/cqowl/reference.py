@@ -9,8 +9,6 @@ output rather than a silent difference.
 """
 from __future__ import annotations
 
-ONTOLOGY_ORDER = ["SWO", "Stuff", "AWO", "Dem@Care", "OntoDT"]
-
 # ontology -> (cq count, translated count)
 TRANSLATABILITY = {
     "SWO": (88, 42),
@@ -57,28 +55,6 @@ PATTERN_COVERAGE = {
     "Total": (234, 209, 106, 89.3, 118, 116, 81),
 }
 
-# patterns shared by several CQ sets, at pattern level
-SHARED_PATTERNS = {
-    "What EC1 PC1 EC2": {"SWO", "Dem@Care"},
-    "Which EC1 PC1 EC2": {"SWO", "AWO"},
-    "What are EC1 for EC2": {"SWO", "OntoDT"},
-    "What is EC1 for EC2": {"SWO", "OntoDT"},
-    "What is EC1 of EC2": {"SWO", "AWO"},
-    "Which EC1 are EC2": {"Dem@Care", "AWO"},
-}
-
-# higher-level patterns shared by several CQ sets
-SHARED_HIGHER_PATTERNS = {
-    "What type of EC1 is EC2": {"SWO", "Stuff", "Dem@Care"},
-    "What EC1 PC1 EC2": {"SWO", "Dem@Care", "AWO"},
-    "What is EC1": {"SWO", "OntoDT", "Dem@Care"},
-    "What EC1 PC1 I PC1 EC2": {"SWO", "AWO"},
-    "Is EC1 EC2": {"SWO", "AWO"},
-    "Is there EC1": {"SWO", "AWO"},
-    "What EC1 PC1 EC2 PC1": {"SWO", "AWO"},
-    "What EC1 is EC2": {"Dem@Care", "AWO"},
-}
-
 SIGNATURE_COUNT = 46
 TOP9_SIGNATURE_COVERAGE_PCT = 63.1
 
@@ -95,7 +71,3 @@ SIGNAL_SUPPORT = {
     "kind-of-is": (2, 3),
     "main-types": (6, 9),
 }
-
-# average CQs covered per distinct pattern (narrative values)
-AVG_CQS_PER_PATTERN_ONTODT = 2.0
-AVG_CQS_PER_HIGHER_PATTERN_ONTODT = 3.5

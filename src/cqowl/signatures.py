@@ -80,9 +80,6 @@ class Signature:
     distinct: bool
     skeleton: str
 
-    def key(self) -> tuple:
-        return (self.skeleton,)
-
 
 # ---------------------------------------------------------------------------
 # Abstraction: AST -> token trees with named slots

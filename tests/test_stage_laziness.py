@@ -1,0 +1,102 @@
+"""Each subcommand runs only the stages it needs, each query is parsed and
+its keywords found at most once, and ``report`` output stays
+byte-identical to the recorded golden hashes."""
+from __future__ import annotations
+
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+import cqowl.correspondence
+import cqowl.corpus
+import cqowl.pipeline
+from cqowl.cli import main
+from cqowl.correspondence import SignalRule, mine_signals
+from cqowl.corpus import load_corpus
+from tests.conftest import CORPUS_PATH, REPO_ROOT
+
+GOLDEN_PATH = REPO_ROOT / "perfbench" / "golden.json"
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the stage functions called while the test runs."""
+    counts = {"parse": Counter(), "annotate": 0, "canonicalize": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            if name == "parse":
+                counts["parse"][args[0]] += 1
+            else:
+                counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, attr, name in (
+        (cqowl.corpus, "parse_query", "parse"),
+        (cqowl.pipeline, "annotate_sentence", "annotate"),
+        (cqowl.pipeline, "group_by_signature", "canonicalize"),
+    ):
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    return counts
+
+
+def run(command, out):
+    return main([command, "--corpus", str(CORPUS_PATH), "--out", str(out)])
+
+
+def test_report_parses_each_query_once(tmp_path, calls):
+    assert run("report", tmp_path) == 0
+    corpus = load_corpus(CORPUS_PATH)
+    queries = Counter(q.query_text for q in corpus.questions
+                      if q.query_text is not None)
+    assert sum(queries.values()) == 131
+    assert calls["parse"] == queries
+    assert calls["annotate"] == 234
+    assert calls["canonicalize"] == 1
+
+
+def test_chunk_parses_and_canonicalizes_nothing(tmp_path, calls):
+    assert run("chunk", tmp_path) == 0
+    assert calls["annotate"] == 234
+    assert not calls["parse"]
+    assert calls["canonicalize"] == 0
+
+
+@pytest.mark.parametrize("command", ["keywords", "parse", "signatures"])
+def test_query_subcommands_annotate_nothing(tmp_path, calls, command):
+    assert run(command, tmp_path) == 0
+    assert calls["annotate"] == 0
+    assert sum(calls["parse"].values()) == 131
+    assert calls["canonicalize"] == (1 if command == "signatures" else 0)
+
+
+def test_mine_signals_computes_keywords_once_per_row(bundle, monkeypatch):
+    rows = bundle.translated_rows()
+    seen = Counter()
+    original = cqowl.correspondence.keyword_presence
+
+    def counting(ast):
+        seen[id(ast)] += 1
+        return original(ast)
+
+    monkeypatch.setattr(cqowl.correspondence, "keyword_presence", counting)
+    rules = [SignalRule(kw, "initial_word_class", ("Which", "What", "Is"),
+                        "keyword", kw)
+             for kw in ("SELECT", "ASK", "DISTINCT", "FILTER")]
+    results = mine_signals(rules, rows)
+    assert max(seen.values()) == 1
+    assert 0 < len(seen) <= len(rows)
+    assert sum(r.denominator for r in results) == 4 * len(seen)
+
+
+def test_report_is_byte_identical_to_golden(tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["files"]
+    assert main(["report", "--corpus", str(CORPUS_PATH), "--out",
+                 str(tmp_path), "--paper-calibration", "--emit", "csv,md"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())
+               if p.name != "run_manifest.json"}
+    assert digests == golden
