@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, reference
 from .corpus import Corpus, CorpusError, load_corpus, translatability_report
-from .correspondence import BUILTIN_RULES, load_rules
+from .correspondence import load_rules
 from .patterns import (
     avg_cqs_per_pattern,
     classify_cq,
@@ -69,14 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class FlagError(ValueError):
+    """A flag value that cannot be used; the message names the flag."""
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CorpusError, FileNotFoundError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
@@ -86,19 +87,16 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     started = time.perf_counter()
+    formats = _check_flags(args)
     corpus = load_corpus(Path(args.corpus), format=args.format)
-    formats = [f.strip() for f in args.emit.split(",") if f.strip()]
     out: Path = args.out
 
     if args.command == "validate":
         return _cmd_validate(corpus)
 
-    overrides = None
-    if args.overrides is not None:
-        overrides = json.loads(args.overrides.read_text(encoding="utf-8"))
     bundle = run_pipeline(
         corpus, tagger=args.tagger, conllu_dir=args.conllu_dir,
-        overrides=overrides, max_triples=args.max_triples,
+        overrides=args.overrides, max_triples=args.max_triples,
     )
 
     steps = {
@@ -118,6 +116,43 @@ def _dispatch(args) -> int:
         steps[args.command](bundle, out, formats, args)
     _write_manifest(out, args, started)
     return 0
+
+
+def _check_flags(args) -> list[str]:
+    """Reject unusable flag values before anything is loaded.
+
+    Returns the report formats, and replaces the ``--overrides`` and
+    ``--rules`` paths on ``args`` with the parsed contents of those files.
+    """
+    formats = [f.strip() for f in args.emit.split(",") if f.strip()]
+    for fmt in formats:
+        if fmt not in ("csv", "md"):
+            raise FlagError(f"--emit: unknown format {fmt!r}, expected csv or md")
+    for flag, value, least in (("--min-support", args.min_support, 2),
+                               ("--max-triples", args.max_triples, 1)):
+        if value < least:
+            raise FlagError(f"{flag} must be at least {least}, got {value}")
+    args.overrides = _read_flag_file("--overrides", args.overrides, _load_overrides)
+    args.rules = _read_flag_file("--rules", args.rules, load_rules)
+    return formats
+
+
+def _read_flag_file(flag: str, path, load):
+    if path is None:
+        return None
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise FlagError(f"{flag}: {exc}") from exc
+
+
+def _load_overrides(path: Path) -> dict[str, str]:
+    overrides = json.loads(path.read_text(encoding="utf-8"))
+    if not (isinstance(overrides, dict)
+            and all(isinstance(v, str) for v in overrides.values())):
+        raise ValueError(f"{path}: expected a JSON object mapping CQ ids "
+                         f"to candidate strings")
+    return overrides
 
 
 def _cmd_validate(corpus: Corpus) -> int:
@@ -199,8 +234,7 @@ def _cmd_classify(bundle: AnalysisBundle, out, formats, args) -> None:
     ])
     candidate_text = {c.cq_id: c.text for c in bundle.candidates}
     for q in bundle.corpus.questions:
-        features = classify_cq(candidate_text[q.id],
-                               bundle.sentences[q.id].chunks)
+        features = classify_cq(candidate_text[q.id])
         table.add(q.id, q.ontology, features.question_type,
                   features.polarity, features.modifier, features.dinde)
     table.write(out, formats)
@@ -310,10 +344,7 @@ def _fmt_hist(hist) -> str:
 
 
 def _cmd_signals(bundle: AnalysisBundle, out, formats, args) -> None:
-    rules = list(BUILTIN_RULES)
-    if args.rules is not None:
-        rules = load_rules(args.rules)
-    rows = signals_for(bundle, rules)
+    rows = signals_for(bundle, args.rules)
     table = Table("signals", [
         "rule", "signal", "target", "support", "non_evidential",
     ])

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .corpus import CorpusError, placeholder_spans
+
 POS_TAGS = {
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "DET", "ADP", "PRON", "ADV",
     "NUM", "PUNCT", "CCONJ", "SCONJ", "PART", "X",
@@ -178,36 +180,20 @@ class _RawToken:
     is_placeholder: bool
 
 
-_PLACEHOLDER_RE = re.compile(r"\[[^\[\]]*\]")
-
-
 def tokenize(text: str) -> list[_RawToken]:
     """Whitespace/punctuation tokenizer; bracketed spans stay single tokens."""
-    if "[" in text or "]" in text:
-        _check_brackets(text)
+    try:
+        spans = placeholder_spans(text)
+    except CorpusError as exc:
+        raise AnnotationError(str(exc)) from exc
     tokens: list[_RawToken] = []
     pos = 0
-    for m in _PLACEHOLDER_RE.finditer(text):
-        tokens.extend(_split_plain(text[pos:m.start()]))
-        tokens.append(_RawToken(m.group(), True))
-        pos = m.end()
+    for start, end in spans:
+        tokens.extend(_split_plain(text[pos:start]))
+        tokens.append(_RawToken(text[start:end], True))
+        pos = end
     tokens.extend(_split_plain(text[pos:]))
     return tokens
-
-
-def _check_brackets(text: str) -> None:
-    depth = 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-            if depth > 1:
-                raise AnnotationError(f"nested brackets in {text!r}")
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise AnnotationError(f"unbalanced brackets in {text!r}")
-    if depth != 0:
-        raise AnnotationError(f"unbalanced brackets in {text!r}")
 
 
 def _split_plain(fragment: str) -> list[_RawToken]:

@@ -336,15 +336,13 @@ _SUPERLATIVE_BLOCK = {
 }
 
 
-def classify_cq(text: str, chunks=None) -> CqFeatures:
+def classify_cq(text: str) -> CqFeatures:
     """Question type, polarity, modifier and domain-independent elements.
 
     Works on either raw CQ text or pattern-level text (where numbers appear
-    as the NUM token), so ``chunks`` are accepted but not needed by the
-    surface rules.  These are heuristics; borderline wording can diverge
+    as the NUM token).  These are heuristics; borderline wording can diverge
     from a human judgment and reports should be read accordingly.
     """
-    del chunks
     if not text.strip():
         raise ValueError("empty CQ text")
     tokens = [t.strip("?.,!\"").lower() for t in text.split()]

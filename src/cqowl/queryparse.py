@@ -414,31 +414,23 @@ class _Parser:
             self.next()
             self.prefixes[label] = iri_tok.value[1:-1]
 
-        tok = self.peek()
-        if self.at_kw("SELECT"):
-            self.next()
-            distinct = False
+        if not (self.at_kw("SELECT") or self.at_kw("ASK")):
+            raise self.error("expected SELECT or ASK")
+        verb = self.next().value
+        distinct, projection = False, None
+        if verb == "SELECT":
             if self.at_kw("DISTINCT"):
                 self.next()
                 distinct = True
             projection = self._parse_projection()
             self.expect_kw("WHERE")
-            where = self._parse_group()
-            ast = QueryAst("SELECT", distinct, projection, where,
-                           tuple(sorted(self.prefixes.items())))
-        elif self.at_kw("ASK"):
+        elif self.at_kw("WHERE"):
             self.next()
-            distinct = False
-            if self.at_kw("WHERE"):
-                self.next()
-            where = self._parse_group()
-            ast = QueryAst("ASK", False, None, where,
-                           tuple(sorted(self.prefixes.items())))
-        else:
-            raise self.error("expected SELECT or ASK")
+        where = self._parse_group()
         if self.peek().kind != "EOF":
             raise self.error("unexpected trailing content")
-        return ast
+        return QueryAst(verb, distinct, projection, where,
+                        tuple(sorted(self.prefixes.items())))
 
     def _parse_prefix_label(self) -> str:
         tok = self.peek()
@@ -456,8 +448,7 @@ class _Parser:
             return STAR
         vars_: list[Variable] = []
         while self.peek().kind == "VAR":
-            tok = self.next()
-            vars_.append(Variable(tok.value[1:], tok.value[0]))
+            vars_.append(self._parse_term())
         if not vars_:
             raise self.error("expected '*' or at least one variable after SELECT")
         return tuple(vars_)
@@ -494,12 +485,11 @@ class _Parser:
                 self.expect_punct("(")
                 expr = self._parse_expr()
                 self.expect_kw("AS")
-                var_tok = self.peek()
-                if var_tok.kind != "VAR":
+                if self.peek().kind != "VAR":
                     raise self.error("expected variable after AS")
-                self.next()
+                var = self._parse_term()
                 self.expect_punct(")")
-                items.append(Bind(expr, Variable(var_tok.value[1:], var_tok.value[0])))
+                items.append(Bind(expr, var))
                 self._skip_dot()
             elif self.at_punct("{"):
                 flush()
@@ -523,45 +513,43 @@ class _Parser:
         if self.at_punct("."):
             self.next()
 
+    def _separated(self, parse_item, kind: str, value: str) -> list:
+        """``item (sep item)*`` where the separator is a ``kind`` token ``value``."""
+        items = [parse_item()]
+        while self.peek().kind == kind and self.peek().value == value:
+            self.next()
+            items.append(parse_item())
+        return items
+
+    def _nary(self, node_type, kind: str, value: str, parse_part):
+        """A separated list of parts, as ``node_type(parts)`` when there are two or more."""
+        parts = self._separated(parse_part, kind, value)
+        return parts[0] if len(parts) == 1 else node_type(tuple(parts))
+
     # triples ---------------------------------------------------------------
 
     def _parse_triples_block(self) -> list[TriplePattern]:
         subject = self._parse_node(allow_literal=False)
-        triples = self._parse_predicate_object_list(subject)
+        triples: list[TriplePattern] = []
+        while not (self.at_punct("}") or self.at_punct(".") or self.peek().kind == "EOF"):
+            triples.append(TriplePattern(subject, *self._parse_predicate_objects()))
+            if not self.at_punct(";"):
+                break
+            # a trailing ';' before '.' or '}' is tolerated
+            self.next()
         if not triples:
             raise self.error("expected predicate after subject")
         self._skip_dot()
         return triples
 
-    def _parse_predicate_object_list(self, subject: Node) -> list[TriplePattern]:
-        triples: list[TriplePattern] = []
-        while True:
-            if self.at_punct("}") or self.at_punct(".") or self.peek().kind == "EOF":
-                break
-            predicate = self._parse_predicate()
-            objects = [self._parse_node(allow_literal=True)]
-            while self.at_punct(","):
-                self.next()
-                objects.append(self._parse_node(allow_literal=True))
-            triples.append(TriplePattern(subject, predicate, tuple(objects)))
-            if self.at_punct(";"):
-                self.next()
-                # tolerate a trailing ';' before '.', '}' or ']'
-                continue
-            break
-        return triples
+    def _parse_predicate_objects(self) -> tuple[TUnion[Term, PropertyPath], tuple[Node, ...]]:
+        """One predicate with its comma-separated object list."""
+        predicate = self._parse_predicate()
+        return predicate, tuple(self._separated(self._parse_node, "PUNCT", ","))
 
     def _parse_predicate(self) -> TUnion[Term, PropertyPath]:
-        parts: list[PropertyPath] = [self._parse_path_elt()]
-        while self.at_punct("/"):
-            self.next()
-            parts.append(self._parse_path_elt())
-        if len(parts) == 1:
-            only = parts[0]
-            if isinstance(only, PathAtom):
-                return only.term
-            return only
-        return PathSequence(tuple(parts))
+        path = self._nary(PathSequence, "PUNCT", "/", self._parse_path_elt)
+        return path.term if isinstance(path, PathAtom) else path
 
     def _parse_path_elt(self) -> PropertyPath:
         tok = self.peek()
@@ -577,7 +565,7 @@ class _Parser:
             return PathZeroOrMore(atom)
         return atom
 
-    def _parse_node(self, allow_literal: bool) -> Node:
+    def _parse_node(self, allow_literal: bool = True) -> Node:
         tok = self.peek()
         if self.at_punct("["):
             return self._parse_blank_property_list()
@@ -594,16 +582,11 @@ class _Parser:
             blank = AnonBlank(self.anon_counter)
             self.anon_counter += 1
             return blank
-        pairs: list[tuple[TUnion[Term, PropertyPath], tuple[Node, ...]]] = []
+        pairs = []
         while not self.at_punct("]"):
             if self.peek().kind == "EOF":
                 raise self.error("unterminated blank node property list")
-            predicate = self._parse_predicate()
-            objects = [self._parse_node(allow_literal=True)]
-            while self.at_punct(","):
-                self.next()
-                objects.append(self._parse_node(allow_literal=True))
-            pairs.append((predicate, tuple(objects)))
+            pairs.append(self._parse_predicate_objects())
             if self.at_punct(";"):
                 self.next()
         self.expect_punct("]")
@@ -615,7 +598,7 @@ class _Parser:
         while not self.at_punct(")"):
             if self.peek().kind == "EOF":
                 raise self.error("unterminated collection")
-            items.append(self._parse_node(allow_literal=True))
+            items.append(self._parse_node())
         self.expect_punct(")")
         return Collection(tuple(items))
 
@@ -624,13 +607,14 @@ class _Parser:
         if tok.kind == "IRIREF":
             self.next()
             return Iri(tok.value[1:-1])
-        if tok.kind == "PNAME":
-            self.next()
+        if tok.kind in ("PNAME", "COLONNAME"):
             prefix, local = tok.value.split(":", 1)
-            return PrefixedName(prefix, local)
-        if tok.kind == "COLONNAME":
+            if prefix not in self.prefixes:
+                raise QueryParseError(
+                    f"prefix {prefix!r} of {tok.value!r} is not declared",
+                    tok.line, tok.col)
             self.next()
-            return PrefixedName("", tok.value[1:])
+            return PrefixedName(prefix, local)
         if tok.kind == "VAR":
             self.next()
             return Variable(tok.value[1:], tok.value[0])
@@ -671,25 +655,10 @@ class _Parser:
         return self._parse_primary()
 
     def _parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
-        parts = [self._parse_and()]
-        while self.peek().kind == "OROR":
-            self.next()
-            parts.append(self._parse_and())
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts))
+        return self._nary(Or, "OROR", "||", self._parse_and)
 
     def _parse_and(self) -> Expr:
-        parts = [self._parse_relational()]
-        while self.peek().kind == "ANDAND":
-            self.next()
-            parts.append(self._parse_relational())
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
+        return self._nary(And, "ANDAND", "&&", self._parse_relational)
 
     def _parse_relational(self) -> Expr:
         left = self._parse_additive()
@@ -702,10 +671,7 @@ class _Parser:
         if self.at_kw("IN"):
             self.next()
             self.expect_punct("(")
-            options = [self._parse_expr()]
-            while self.at_punct(","):
-                self.next()
-                options.append(self._parse_expr())
+            options = self._separated(self._parse_expr, "PUNCT", ",")
             self.expect_punct(")")
             return In(left, tuple(options))
         return left
@@ -736,12 +702,7 @@ class _Parser:
 
     def _parse_call(self, name) -> FnCall:
         self.expect_punct("(")
-        args: list[Expr] = []
-        if not self.at_punct(")"):
-            args.append(self._parse_expr())
-            while self.at_punct(","):
-                self.next()
-                args.append(self._parse_expr())
+        args = [] if self.at_punct(")") else self._separated(self._parse_expr, "PUNCT", ",")
         self.expect_punct(")")
         return FnCall(name, tuple(args))
 
@@ -832,28 +793,21 @@ def _render_bgp(bgp: Bgp, depth: int) -> list[str]:
             run.append(triples[j])
             j += 1
         subj_text = _render_node(subject, depth)
-        parts = []
-        for t in run:
-            objs = ", ".join(_render_node(o, depth) for o in t.objects)
-            parts.append(f"{_render_predicate(t.predicate)} {objs}")
+        parts = [_render_pair(t.predicate, t.objects, depth) for t in run]
         lines.append(subj_text + " " + " ; ".join(parts) + " .")
         i = j
     return lines
 
 
-def _render_predicate(pred: TUnion[Term, PropertyPath]) -> str:
-    if isinstance(pred, (PathAtom, PathZeroOrMore, PathSequence)):
-        return str(pred)
-    return str(pred)
+def _render_pair(predicate, objects: tuple[Node, ...], depth: int) -> str:
+    return f"{predicate} " + ", ".join(_render_node(o, depth) for o in objects)
 
 
 def _render_node(node: Node, depth: int) -> str:
     if isinstance(node, BlankPropertyList):
         inner_pad = "    " * (depth + 1)
-        parts = []
-        for pred, objects in node.pairs:
-            objs = ", ".join(_render_node(o, depth + 1) for o in objects)
-            parts.append(f"{inner_pad}{_render_predicate(pred)} {objs}")
+        parts = [inner_pad + _render_pair(pred, objects, depth + 1)
+                 for pred, objects in node.pairs]
         return "[\n" + " ;\n".join(parts) + "\n" + "    " * depth + "]"
     if isinstance(node, Collection):
         return "( " + " ".join(_render_node(i, depth) for i in node.items) + " )"
@@ -911,22 +865,21 @@ KEYWORD_INVENTORY = (
     "rdf:rest",
 )
 
-_VOCAB_KEYWORD_IRIS = {
-    "rdfs:subClassOf": RDFS_NS + "subClassOf",
-    "owl:onProperty": OWL_NS + "onProperty",
-    "owl:someValuesFrom": OWL_NS + "someValuesFrom",
-    "owl:Restriction": OWL_NS + "Restriction",
-    "owl:Nothing": OWL_NS + "Nothing",
-    "owl:hasValue": OWL_NS + "hasValue",
-    "owl:intersectionOf": OWL_NS + "intersectionOf",
-    "owl:unionOf": OWL_NS + "unionOf",
-    "owl:disjointWith": OWL_NS + "disjointWith",
-    "owl:allValuesFrom": OWL_NS + "allValuesFrom",
-    "owl:cardinality": OWL_NS + "cardinality",
-    "rdf:first": RDF_NS + "first",
-    "rdf:rest": RDF_NS + "rest",
+# resolved IRI -> vocabulary keyword; "rdf:type / a" is matched by rdf:type,
+# which the Turtle ``a`` also resolves to
+_KEYWORD_OF_IRI = {
+    WELL_KNOWN_PREFIXES[prefix] + local: keyword
+    for keyword in KEYWORD_INVENTORY
+    for prefix, colon, local in [keyword.split()[0].partition(":")]
+    if colon
 }
 _RDF_TYPE_IRI = RDF_NS + "type"
+# structural keywords, by the graph pattern node that shows them
+_KEYWORDS_OF_NODE = {
+    Filter: ("FILTER",),
+    NotExists: ("FILTER", "NOT EXISTS"),
+    UnionPattern: ("UNION",),
+}
 
 
 def resolve_term(term: Term, prefixes: dict[str, str]) -> Optional[str]:
@@ -945,92 +898,20 @@ def resolve_term(term: Term, prefixes: dict[str, str]) -> Optional[str]:
     return None
 
 
-def _iter_terms(ast: QueryAst) -> Iterator[Term]:
-    yield from _iter_pattern_terms(ast.where)
+def _walk(node) -> Iterator:
+    """Every AST node reachable from ``node``, itself included, in no fixed order.
 
-
-def _iter_pattern_terms(item: GraphPattern) -> Iterator[Term]:
-    if isinstance(item, Group):
-        for sub in item.items:
-            yield from _iter_pattern_terms(sub)
-    elif isinstance(item, Bgp):
-        for t in item.triples:
-            yield from _iter_node_terms(t.subject)
-            yield from _iter_path_terms(t.predicate)
-            for o in t.objects:
-                yield from _iter_node_terms(o)
-    elif isinstance(item, Filter):
-        yield from _iter_expr_terms(item.expr)
-    elif isinstance(item, NotExists):
-        yield from _iter_pattern_terms(item.pattern)
-    elif isinstance(item, Bind):
-        yield from _iter_expr_terms(item.expr)
-        yield item.var
-    elif isinstance(item, UnionPattern):
-        yield from _iter_pattern_terms(item.left)
-        yield from _iter_pattern_terms(item.right)
-
-
-def _iter_node_terms(node: Node) -> Iterator[Term]:
-    if isinstance(node, BlankPropertyList):
-        for pred, objects in node.pairs:
-            yield from _iter_path_terms(pred)
-            for o in objects:
-                yield from _iter_node_terms(o)
-    elif isinstance(node, Collection):
-        for i in node.items:
-            yield from _iter_node_terms(i)
-    else:
-        yield node
-
-
-def _iter_expr_terms(expr: Expr) -> Iterator[Term]:
-    if isinstance(expr, TermRef):
-        yield expr.term
-    elif isinstance(expr, Paren):
-        yield from _iter_expr_terms(expr.inner)
-    elif isinstance(expr, Compare):
-        yield from _iter_expr_terms(expr.left)
-        yield from _iter_expr_terms(expr.right)
-    elif isinstance(expr, (And, Or)):
-        for p in expr.parts:
-            yield from _iter_expr_terms(p)
-    elif isinstance(expr, In):
-        yield from _iter_expr_terms(expr.needle)
-        for o in expr.options:
-            yield from _iter_expr_terms(o)
-    elif isinstance(expr, FnCall):
-        if not isinstance(expr.name, str):
-            yield expr.name
-        for a in expr.args:
-            yield from _iter_expr_terms(a)
-    elif isinstance(expr, Arith):
-        yield from _iter_expr_terms(expr.left)
-        yield from _iter_expr_terms(expr.right)
-
-
-def _iter_path_terms(pred: TUnion[Term, PropertyPath]) -> Iterator[Term]:
-    if isinstance(pred, PathAtom):
-        yield pred.term
-    elif isinstance(pred, PathZeroOrMore):
-        yield from _iter_path_terms(pred.inner)
-    elif isinstance(pred, PathSequence):
-        for p in pred.parts:
-            yield from _iter_path_terms(p)
-    else:
-        yield pred
-
-
-def _has_node(item: GraphPattern, kind) -> bool:
-    if isinstance(item, kind):
-        return True
-    if isinstance(item, Group):
-        return any(_has_node(sub, kind) for sub in item.items)
-    if isinstance(item, NotExists):
-        return _has_node(item.pattern, kind)
-    if isinstance(item, UnionPattern):
-        return _has_node(item.left, kind) or _has_node(item.right, kind)
-    return False
+    Nodes are the dataclass instances of this module; tuples of them are
+    descended into and plain values (strings, flags, ``None``) are skipped.
+    """
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif hasattr(item, "__dataclass_fields__"):
+            yield item
+            stack.extend(vars(item).values())
 
 
 def keyword_presence(ast: QueryAst) -> set[str]:
@@ -1045,29 +926,14 @@ def keyword_presence(ast: QueryAst) -> set[str]:
     present: set[str] = {"WHERE", ast.verb}
     if ast.distinct:
         present.add("DISTINCT")
-    if _has_node(ast.where, Filter) or _has_node(ast.where, NotExists):
-        present.add("FILTER")
-    if _has_node(ast.where, NotExists):
-        present.add("NOT EXISTS")
-    if _has_node(ast.where, UnionPattern):
-        present.add("UNION")
-
     prefixes = ast.prefixes()
-    iri_to_keyword = {iri: kw for kw, iri in _VOCAB_KEYWORD_IRIS.items()}
-    for term in _iter_terms(ast):
-        if isinstance(term, Literal):
-            if term.datatype is not None:
-                resolved = resolve_term(term.datatype, prefixes)
-                if resolved in iri_to_keyword:
-                    present.add(iri_to_keyword[resolved])
-            continue
-        resolved = resolve_term(term, prefixes)
-        if resolved is None:
-            continue
-        if resolved == _RDF_TYPE_IRI:
-            present.add("rdf:type / a")
-        elif resolved in iri_to_keyword:
-            present.add(iri_to_keyword[resolved])
+    for node in _walk(ast.where):
+        if isinstance(node, (Iri, PrefixedName, KeywordA)):
+            keyword = _KEYWORD_OF_IRI.get(resolve_term(node, prefixes))
+            if keyword is not None:
+                present.add(keyword)
+        else:
+            present.update(_KEYWORDS_OF_NODE.get(type(node), ()))
     return present
 
 

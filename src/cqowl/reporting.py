@@ -35,18 +35,17 @@ class Table:
         return buf.getvalue()
 
     def to_markdown(self) -> str:
-        widths = [
-            max(len(str(c)), *(len(str(r[i])) for r in self.rows)) if self.rows
-            else len(str(c))
-            for i, c in enumerate(self.columns)
-        ]
-        def line(cells):
+        # a '|' inside a cell would start a new column, a newline a new row
+        cells = [[str(c).replace("|", "\\|").replace("\n", " ") for c in row]
+                 for row in [self.columns, *self.rows]]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        def line(row):
             return "| " + " | ".join(
-                str(c).ljust(w) for c, w in zip(cells, widths)
+                c.ljust(w) for c, w in zip(row, widths)
             ) + " |"
-        out = [line(self.columns),
+        out = [line(cells[0]),
                "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-        out.extend(line(r) for r in self.rows)
+        out.extend(line(r) for r in cells[1:])
         return "\n".join(out) + "\n"
 
     def write(self, out_dir: Path, formats: Sequence[str]) -> list[Path]:

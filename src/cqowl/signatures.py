@@ -46,22 +46,15 @@ from .queryparse import (
     PathZeroOrMore,
     QueryAst,
     RDF_NS,
-    RDFS_NS,
-    OWL_NS,
-    XSD_NS,
     STAR,
     TermRef,
     UnionPattern,
     Variable,
+    WELL_KNOWN_PREFIXES,
     resolve_term,
 )
 
-RESERVED_NAMESPACES = {
-    RDF_NS: "rdf",
-    RDFS_NS: "rdfs",
-    OWL_NS: "owl",
-    XSD_NS: "xsd",
-}
+RESERVED_NAMESPACES = {ns: prefix for prefix, ns in WELL_KNOWN_PREFIXES.items()}
 
 URI_TOKEN = ":URI"
 LIT_TOKEN = ":LIT"
@@ -122,36 +115,22 @@ def _abstract_path(pred, prefixes) -> list:
     if isinstance(pred, PathZeroOrMore):
         return _abstract_path(pred.inner, prefixes) + ["*"]
     if isinstance(pred, PathSequence):
-        out: list = []
-        for i, part in enumerate(pred.parts):
-            if i:
-                out.append("/")
-            out.extend(_abstract_path(part, prefixes))
-        return out
+        return _joined([_abstract_path(part, prefixes) for part in pred.parts], "/")
     return _abstract_term(pred, prefixes)
 
 
 def _abstract_node(node, prefixes) -> list:
     if isinstance(node, BlankPropertyList):
-        rendered_pairs = []
-        for pred, objects in node.pairs:
-            pair_tokens: list = _abstract_path(pred, prefixes)
-            for i, obj in enumerate(objects):
-                if i:
-                    pair_tokens.append(",")
-                pair_tokens.extend(_abstract_node(obj, prefixes))
-            rendered_pairs.append(pair_tokens)
+        rendered_pairs = [
+            _abstract_path(pred, prefixes)
+            + _joined([_abstract_node(obj, prefixes) for obj in objects], ",")
+            for pred, objects in node.pairs
+        ]
         # deterministic pair order: sort on the name-erased rendering so the
         # key is invariant under variable/blank renaming; ties keep source
         # order (pair permutation invariance is not part of the contract)
         rendered_pairs.sort(key=_erased)
-        out: list = ["["]
-        for i, pair in enumerate(rendered_pairs):
-            if i:
-                out.append(";")
-            out.extend(pair)
-        out.append("]")
-        return out
+        return ["["] + _joined(rendered_pairs, ";") + ["]"]
     if isinstance(node, Collection):
         out = ["("]
         for item in node.items:
@@ -159,6 +138,15 @@ def _abstract_node(node, prefixes) -> list:
         out.append(")")
         return out
     return _abstract_term(node, prefixes)
+
+
+def _joined(token_lists: list[list], sep: str) -> list:
+    out: list = []
+    for i, tokens in enumerate(token_lists):
+        if i:
+            out.append(sep)
+        out.extend(tokens)
+    return out
 
 
 def _erased(tokens: Iterable) -> str:
@@ -242,6 +230,11 @@ class _Namer:
         fresh.blanks = dict(self.blanks)
         return fresh
 
+    def key(self) -> tuple:
+        # names are numbered in insertion order, so equal mappings have
+        # equal item sequences
+        return tuple(self.vars.items()), tuple(self.blanks.items())
+
     def render(self, tokens: Iterable) -> str:
         parts = []
         for tok in tokens:
@@ -257,15 +250,26 @@ class _Namer:
         return " ".join(parts)
 
 
-def _dedup_states(states: list[_Namer]) -> list[_Namer]:
+def _keep_min(candidates: list[tuple[str, object]], key=_Namer.key) -> tuple[str, list]:
+    """The least text among ``(text, state)`` candidates and every state that
+    renders it, the first of each ``key`` only, in candidate order."""
+    if len(candidates) == 1:
+        return candidates[0][0], [candidates[0][1]]
+    low = min(text for text, _ in candidates)
     seen = set()
-    out = []
-    for s in states:
-        key = (tuple(sorted(s.vars.items())), tuple(sorted(s.blanks.items())))
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    kept = []
+    for text, state in candidates:
+        if text == low:
+            k = key(state)
+            if k not in seen:
+                seen.add(k)
+                kept.append(state)
+    return low, kept
+
+
+def _frontier_key(entry: tuple[list, _Namer]) -> tuple:
+    remaining, namer = entry
+    return tuple(map(id, remaining)), namer.key()
 
 
 class _Canonicalizer:
@@ -320,7 +324,7 @@ class _Canonicalizer:
                     f"BGP has {len(templates)} triples, over the bound of "
                     f"{self.max_triples}"
                 )
-            return self._min_sequence(templates, states, "\n", self._render_template)
+            return self._min_sequence(templates, states, "\n", self._render_tokens)
         if isinstance(item, Filter):
             node = _abstract_expr(item.expr, self.prefixes)
             text, out = self._render_expr(node, states, top=True)
@@ -330,10 +334,9 @@ class _Canonicalizer:
             return "FILTER NOT EXISTS " + inner, out
         if isinstance(item, Bind):
             node = _abstract_expr(item.expr, self.prefixes)
-            text, out = self._render_expr(node, states, top=False)
-            var_tokens = [("var", "?" + item.var.name)] \
-                if item.var.marker == "?" else [URI_TOKEN]
-            var_text, out = self._render_tokens(var_tokens, out)
+            text, out = self._render_expr(node, states)
+            var_text, out = self._render_tokens(
+                _abstract_term(item.var, self.prefixes), out)
             return f"BIND({text} AS {var_text})", out
         if isinstance(item, UnionPattern):
             left, mid = self._render_group(item.left, states)
@@ -343,34 +346,27 @@ class _Canonicalizer:
             return self._render_group(item, states)
         raise TypeError(f"unknown graph pattern {item!r}")
 
-    def _render_template(self, template: list, state: _Namer) -> tuple[str, list[_Namer]]:
-        trial = state.clone()
-        return trial.render(template), [trial]
-
     def _render_tokens(self, tokens: list, states: list[_Namer]) -> tuple[str, list[_Namer]]:
-        outcomes = [self._render_template(tokens, s) for s in states]
-        low = min(text for text, _ in outcomes)
-        return low, _dedup_states(
-            [nm for text, nms in outcomes if text == low for nm in nms])
+        trials = [state.clone() for state in states]
+        return _keep_min([(trial.render(tokens), trial) for trial in trials])
 
     def _min_sequence(self, parts: list, states: list[_Namer], sep: str,
-                      render_one) -> tuple[str, list[_Namer]]:
-        """Minimal rendering of an orderable list, over all states."""
+                      render) -> tuple[str, list[_Namer]]:
+        """Minimal rendering of an orderable list, over all states.
+
+        ``render(part, states)`` is the renderer of one part.
+        """
         if not parts:
             return "", states
         if not self.search:
+            # source order: no reordering, but every naming state that
+            # yields the minimal text is kept, so the result is a function
+            # of the AST alone
             texts = []
-            current = states
-            for part in list(parts):
-                outcomes = [render_one(part, s) for s in current]
-                # source order: no reordering, but keep every naming state
-                # that yields the minimal text so the result is a function
-                # of the AST alone
-                low = min(t for t, _ in outcomes)
-                texts.append(low)
-                current = _dedup_states(
-                    [nm for t, nms in outcomes if t == low for nm in nms])
-            return sep.join(texts), current
+            for part in parts:
+                text, states = render(part, states)
+                texts.append(text)
+            return sep.join(texts), states
 
         # frontier entries: (remaining_parts, namer); every entry has
         # emitted the identical text so far
@@ -381,59 +377,38 @@ class _Canonicalizer:
             for remaining, nm in frontier:
                 for idx, part in enumerate(remaining):
                     self._bump()
-                    text, outs = render_one(part, nm)
+                    text, outs = render(part, [nm])
                     rest = remaining[:idx] + remaining[idx + 1:]
-                    for out in outs:
-                        candidates.append((text, rest, out))
-            low = min(c[0] for c in candidates)
+                    candidates.extend((text, (rest, out)) for out in outs)
+            low, frontier = _keep_min(candidates, _frontier_key)
             emitted.append(low)
-            survivors = [(rest, nm) for text, rest, nm in candidates if text == low]
-            seen = set()
-            frontier = []
-            for rest, nm in survivors:
-                key = (tuple(id(p) for p in rest),
-                       tuple(sorted(nm.vars.items())),
-                       tuple(sorted(nm.blanks.items())))
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((rest, nm))
             self._bump(len(frontier))
-        return sep.join(emitted), _dedup_states([nm for _, nm in frontier])
+        return sep.join(emitted), [nm for _, nm in frontier]
 
-    def _render_expr(self, node: _ExprNode, states: list[_Namer], top: bool) -> tuple[str, list[_Namer]]:
+    def _render_expr(self, node: _ExprNode, states: list[_Namer],
+                     top: bool = False) -> tuple[str, list[_Namer]]:
         if node.kind == "term":
             return self._render_tokens(node.tokens, states)
         if node.kind == "cmp":
             return self._render_commutative_pair(node, states)
         if node.kind in ("and", "or"):
             sep = " && " if node.kind == "and" else " || "
-            text, out = self._min_sequence(list(node.children), states, sep,
-                                           self._expr_single)
+            text, out = self._min_sequence(node.children, states, sep,
+                                           self._render_expr)
             if not top:
                 text = "(" + text + ")"
             return text, out
+        texts = []
+        for child in node.children:
+            text, states = self._render_expr(child, states)
+            texts.append(text)
         if node.kind == "in":
-            needle, current = self._render_expr(node.children[0], states, top=False)
-            opts = []
-            for child in node.children[1:]:
-                text, current = self._render_expr(child, current, top=False)
-                opts.append(text)
-            return f"{needle} IN ({', '.join(opts)})", current
+            return f"{texts[0]} IN ({', '.join(texts[1:])})", states
         if node.kind == "fn":
-            args = []
-            current = states
-            for child in node.children:
-                text, current = self._render_expr(child, current, top=False)
-                args.append(text)
-            return f"{node.op}({', '.join(args)})", current
+            return f"{node.op}({', '.join(texts)})", states
         if node.kind == "arith":
-            left, mid = self._render_expr(node.children[0], states, top=False)
-            right, out = self._render_expr(node.children[1], mid, top=False)
-            return f"({left} {node.op} {right})", out
+            return f"({texts[0]} {node.op} {texts[1]})", states
         raise TypeError(f"unknown expression node kind {node.kind}")
-
-    def _expr_single(self, node: _ExprNode, state: _Namer) -> tuple[str, list[_Namer]]:
-        return self._render_expr(node, [state], top=False)
 
     def _render_commutative_pair(self, node: _ExprNode, states: list[_Namer]) -> tuple[str, list[_Namer]]:
         if node.op not in ("=", "!="):
@@ -441,17 +416,13 @@ class _Canonicalizer:
         orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)
         candidates: list[tuple[str, _Namer]] = []
         for state in states:
-            for order in orders:
+            for first, second in orders:
                 self._bump()
-                left, mids = self._render_expr(node.children[order[0]],
-                                               [state], top=False)
+                left, mids = self._render_expr(node.children[first], [state])
                 for mid in mids:
-                    right, outs = self._render_expr(node.children[order[1]],
-                                                    [mid], top=False)
-                    for out in outs:
-                        candidates.append((f"{left} {node.op} {right}", out))
-        low = min(text for text, _ in candidates)
-        return low, _dedup_states([nm for text, nm in candidates if text == low])
+                    right, outs = self._render_expr(node.children[second], [mid])
+                    candidates.extend((f"{left} {node.op} {right}", out) for out in outs)
+        return _keep_min(candidates)
 
 
 def canonicalize(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES) -> Signature:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+
+import pytest
 
 from cqowl.cli import main
 from tests.conftest import CORPUS_PATH
@@ -136,3 +139,71 @@ def test_overrides_flow(tmp_path):
                "--overrides", overrides) == 0
     inventory = (out / "pattern_inventory.jsonl").read_text(encoding="utf-8")
     assert "Overridden EC1" in inventory
+
+
+def write_corpus(path, queries):
+    """A JSONL corpus with one AWO record per (id, query) pair."""
+    lines = [json.dumps({"id": qid, "ontology": "AWO",
+                         "cq": "Which plants eat animals?", "query": query})
+             for qid, query in queries]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_undeclared_prefix_is_untranslatable(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c.jsonl", [
+        ("good", "SELECT ?x WHERE { ?x rdfs:subClassOf awo:plant }"),
+        ("bad", "SELECT ?x WHERE { ?x mystery:p ?y }"),
+    ])
+    assert run("validate", "--corpus", corpus) == 0
+    err = capsys.readouterr().err
+    assert "warning: query of bad does not parse" in err
+    assert "'mystery'" in err and "line 1, column 22" in err
+    assert "1 with parseable queries" in err
+    out = tmp_path / "out"
+    assert run("report", "--corpus", corpus, "--out", out) == 0
+    untranslatable = (out / "untranslatable_queries.csv").read_text(encoding="utf-8")
+    assert untranslatable.splitlines()[1].startswith("bad,")
+    assert "bad" in (out / "keywords_excluded.csv").read_text(encoding="utf-8")
+
+
+def test_markdown_cells_escape_pipes(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", [
+        ("q1", "SELECT ?x WHERE { ?x a awo:plant . "
+               "FILTER(?x = awo:a || ?x = awo:b) }"),
+    ])
+    out = tmp_path / "out"
+    assert run("signatures", "--corpus", corpus, "--out", out,
+               "--emit", "md") == 0
+    lines = (out / "signatures.md").read_text(encoding="utf-8").splitlines()
+    row = next(line for line in lines if "FILTER" in line)
+    unescaped = len(re.findall(r"(?<!\\)\|", row))
+    assert unescaped == len(lines[0].split("|")) - 1 == 8
+    assert r"\|\|" in row
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--emit", "csv,html"),
+    ("--min-support", "1"),
+    ("--max-triples", "0"),
+    ("--max-triples", "-1"),
+    ("--overrides", "missing.json"),
+    ("--overrides", "not-json.json"),
+    ("--overrides", "list.json"),
+    ("--rules", "missing.json"),
+    ("--rules", "not-json.json"),
+    ("--rules", "object.json"),
+])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_bad_flag_values_exit_1(tmp_path, capsys, command, flag, value):
+    (tmp_path / "not-json.json").write_text("{oops", encoding="utf-8")
+    (tmp_path / "list.json").write_text('["awo_2"]', encoding="utf-8")
+    (tmp_path / "object.json").write_text('{"id": "r"}', encoding="utf-8")
+    if value.endswith(".json"):
+        value = tmp_path / value
+    out = tmp_path / "out"
+    # a corpus that does not exist shows the flags are checked before loading
+    for corpus in (CORPUS_PATH, tmp_path / "no-corpus.jsonl"):
+        assert run(command, "--corpus", corpus, "--out", out, flag, value) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert not out.exists()

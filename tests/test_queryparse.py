@@ -9,6 +9,7 @@ from cqowl.queryparse import (
     PathAtom,
     PathSequence,
     PathZeroOrMore,
+    PrefixedName,
     PrefixResolutionError,
     QueryParseError,
     STAR,
@@ -134,11 +135,20 @@ def test_out_of_scope_syntax_is_rejected():
                     PREFIXES)
 
 
-def test_unresolved_prefix_raises_on_resolution_only():
-    ast = parse_query("SELECT ?x WHERE { ?x mystery:p ?y }", PREFIXES)
-    term = ast.where.items[0].triples[0].predicate
+def test_undeclared_prefix_is_a_parse_error():
+    with pytest.raises(QueryParseError) as err:
+        parse_query("SELECT ?x WHERE {\n  ?x mystery:p ?y }", PREFIXES)
+    assert (err.value.line, err.value.col) == (2, 6)
+    assert "'mystery'" in str(err.value)
+    # the default prefix is checked the same way
+    with pytest.raises(QueryParseError) as err:
+        parse_query("ASK { :A a owl:Class }", {})
+    assert (err.value.line, err.value.col) == (1, 7)
+    # a declaration in the query text makes the prefix known
+    parse_query("PREFIX mystery: <http://x#> ASK { ?x mystery:p ?y }", {})
+    # hand-built ASTs still meet the check when their terms are resolved
     with pytest.raises(PrefixResolutionError):
-        resolve_term(term, ast.prefixes())
+        resolve_term(PrefixedName("mystery", "p"), PREFIXES)
 
 
 def test_keyword_presence_resolved_iris():
