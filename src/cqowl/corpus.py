@@ -16,6 +16,7 @@ once, on first use, and every later analysis shares those results.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -142,6 +143,16 @@ def placeholder_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
+_WORD_CHAR = re.compile(r"\w")
+
+
+def _require_word(cq_text: str, where: str) -> None:
+    """Reject CQ text with no word token: annotation and classification
+    have nothing to work on in, say, a bare ``?``."""
+    if not _WORD_CHAR.search(cq_text):
+        raise CorpusError(f"{where}: field 'cq' has no word: {cq_text!r}")
+
+
 # ---------------------------------------------------------------------------
 # Prefix tables
 
@@ -208,6 +219,7 @@ def load_jsonl(path: Path, prefix_tables: Optional[dict[str, dict[str, str]]] = 
             raise CorpusError(
                 f"{path}:{lineno}: field 'answers' must be a list of strings"
             )
+        _require_word(record["cq"], f"{path}:{lineno}")
         try:
             spans = placeholder_spans(record["cq"])
         except CorpusError as exc:
@@ -266,9 +278,10 @@ def load_dataset_dir(root: Path) -> Corpus:
             raise CorpusError(f"{onto_dir}: missing questions/ directory")
         for qfile in sorted(qdir.glob("*.txt")):
             cq_id = qfile.stem
-            text = qfile.read_text(encoding="utf-8").strip()
-            if not text:
-                raise CorpusError(f"{qfile}: empty CQ text")
+            raw = qfile.read_text(encoding="utf-8")
+            text = raw.strip()
+            first_line = raw[:raw.find(text)].count("\n") + 1
+            _require_word(text, f"{qfile}:{first_line}")
             query_file = onto_dir / "queries" / f"{cq_id}.rq"
             query = query_file.read_text(encoding="utf-8") if query_file.exists() else None
             try:

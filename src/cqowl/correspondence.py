@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from .patterns import Pattern
 from .queryparse import QueryAst, keyword_presence, parse_query
-from .signatures import canonicalize
+from .signatures import CanonicalizationLimitExceeded, canonicalize
 
 _SLOT_RE = re.compile(r"^(EC|PC)\d+$")
 
@@ -88,6 +88,10 @@ def _histogram(degrees: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # Signal rules
+
+
+_MATCHER_KINDS = ("initial_word_class", "contains_word", "contains_phrase")
+_TARGET_KINDS = ("verb", "keyword", "skeleton")
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,12 @@ def rule_matches(rule: SignalRule, raw_text: str, pattern_text: str) -> bool:
     raise ValueError(f"unknown matcher kind {rule.matcher_kind!r}")
 
 
+def _exemplar_skeleton(rule: SignalRule) -> str:
+    """Canonical skeleton of a skeleton rule's exemplar query."""
+    exemplar = parse_query(rule.target_value, {"": "http://example.org/sig#"})
+    return canonicalize(exemplar).skeleton
+
+
 def _target_satisfied(
     rule: SignalRule,
     ast: QueryAst,
@@ -202,11 +212,7 @@ def _target_satisfied(
     if rule.target_kind == "skeleton":
         expected = skeleton_cache.get(rule.id)
         if expected is None:
-            exemplar = parse_query(
-                rule.target_value, {"": "http://example.org/sig#"}
-            )
-            expected = canonicalize(exemplar).skeleton
-            skeleton_cache[rule.id] = expected
+            expected = skeleton_cache[rule.id] = _exemplar_skeleton(rule)
         return skeleton == expected
     raise ValueError(f"unknown target kind {rule.target_kind!r}")
 
@@ -338,6 +344,24 @@ def load_rules(path: Path) -> list[SignalRule]:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: rule #{i} malformed: {exc}") from exc
+        rule = rules[-1]
+        words = obj["matcher_value"]
+        if not (isinstance(rule.id, str) and isinstance(rule.target_value, str)
+                and isinstance(words, list) and words
+                and all(isinstance(w, str) for w in words)):
+            raise ValueError(f"{path}: rule #{i}: id and target_value must be "
+                             "strings, matcher_value a nonempty list of strings")
+        for name, value, known in (("matcher_kind", rule.matcher_kind, _MATCHER_KINDS),
+                                   ("target_kind", rule.target_kind, _TARGET_KINDS)):
+            if value not in known:
+                raise ValueError(f"{path}: rule #{i}: unknown {name} {value!r}, "
+                                 f"expected one of {', '.join(known)}")
+        if rule.target_kind == "skeleton":
+            try:
+                _exemplar_skeleton(rule)
+            except (ValueError, CanonicalizationLimitExceeded) as exc:
+                raise ValueError(f"{path}: rule #{i}: skeleton target_value "
+                                 f"is not a usable query: {exc}") from exc
     return rules
 
 

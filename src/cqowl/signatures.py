@@ -14,10 +14,15 @@ names assigned in first-occurrence order per candidate.  The minimum is
 found by a greedy best-first walk that branches on exact rendering ties, so
 it equals the brute-force minimum while staying cheap on asymmetric
 queries.
+
+Parts equal up to renaming slots used nowhere else render alike in any
+order, so each class of them is tried in one order only; equal parts tied
+by shared slots (2-cycles) can still raise CanonicalizationLimitExceeded.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .queryparse import (
@@ -101,12 +106,17 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
     resolved = resolve_term(term, prefixes)
     if resolved is None:
         raise TypeError(f"cannot abstract term {term!r}")
-    if resolved == RDF_NS + "type":
-        return ["a"]
+    return [_abstract_iri(resolved)]
+
+
+@lru_cache(maxsize=4096)
+def _abstract_iri(iri: str) -> str:
+    if iri == RDF_NS + "type":
+        return "a"
     for ns, prefix in RESERVED_NAMESPACES.items():
-        if resolved.startswith(ns):
-            return [f"{prefix}:{resolved[len(ns):]}"]
-    return [URI_TOKEN]
+        if iri.startswith(ns):
+            return f"{prefix}:{iri[len(ns):]}"
+    return URI_TOKEN
 
 
 def _abstract_path(pred, prefixes) -> list:
@@ -170,21 +180,49 @@ def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
     return templates
 
 
-def _abstract_expr(expr: Expr, prefixes) -> "_ExprNode":
+def _abstract_pattern(item: GraphPattern, prefixes, max_triples: int) -> "_Node":
+    if isinstance(item, Group):
+        return _Node("group", children=[
+            _abstract_pattern(child, prefixes, max_triples) for child in item.items])
+    if isinstance(item, Bgp):
+        templates = _flatten_triples(item, prefixes)
+        if len(templates) > max_triples:
+            raise CanonicalizationLimitExceeded(
+                f"BGP has {len(templates)} triples, over the bound of "
+                f"{max_triples}"
+            )
+        return _Node("bgp", children=[_Node("tokens", tokens=t) for t in templates])
+    if isinstance(item, Filter):
+        return _Node("filter", children=[_abstract_expr(item.expr, prefixes)])
+    if isinstance(item, NotExists):
+        return _Node("not_exists", children=[
+            _abstract_pattern(item.pattern, prefixes, max_triples)])
+    if isinstance(item, Bind):
+        return _Node("bind", children=[
+            _abstract_expr(item.expr, prefixes),
+            _Node("tokens", tokens=_abstract_term(item.var, prefixes))])
+    if isinstance(item, UnionPattern):
+        return _Node("union", children=[
+            _abstract_pattern(item.left, prefixes, max_triples),
+            _abstract_pattern(item.right, prefixes, max_triples)])
+    raise TypeError(f"unknown graph pattern {item!r}")
+
+
+def _abstract_expr(expr: Expr, prefixes) -> "_Node":
     if isinstance(expr, Paren):
         return _abstract_expr(expr.inner, prefixes)
     if isinstance(expr, Compare):
-        return _ExprNode(
+        return _Node(
             "cmp", op=expr.op,
             children=[_abstract_expr(expr.left, prefixes),
                       _abstract_expr(expr.right, prefixes)],
         )
     if isinstance(expr, And):
-        return _ExprNode("and", children=[_abstract_expr(p, prefixes) for p in expr.parts])
+        return _Node("and", children=[_abstract_expr(p, prefixes) for p in expr.parts])
     if isinstance(expr, Or):
-        return _ExprNode("or", children=[_abstract_expr(p, prefixes) for p in expr.parts])
+        return _Node("or", children=[_abstract_expr(p, prefixes) for p in expr.parts])
     if isinstance(expr, In):
-        return _ExprNode(
+        return _Node(
             "in",
             children=[_abstract_expr(expr.needle, prefixes)]
             + [_abstract_expr(o, prefixes) for o in expr.options],
@@ -192,25 +230,59 @@ def _abstract_expr(expr: Expr, prefixes) -> "_ExprNode":
     if isinstance(expr, FnCall):
         name = expr.name if isinstance(expr.name, str) \
             else "".join(_abstract_term(expr.name, prefixes))
-        return _ExprNode("fn", op=name,
-                         children=[_abstract_expr(a, prefixes) for a in expr.args])
+        return _Node("fn", op=name,
+                     children=[_abstract_expr(a, prefixes) for a in expr.args])
     if isinstance(expr, Arith):
-        return _ExprNode("arith", op=expr.op,
-                         children=[_abstract_expr(expr.left, prefixes),
-                                   _abstract_expr(expr.right, prefixes)])
+        return _Node("arith", op=expr.op,
+                     children=[_abstract_expr(expr.left, prefixes),
+                               _abstract_expr(expr.right, prefixes)])
     if isinstance(expr, TermRef):
-        return _ExprNode("term", tokens=_abstract_term(expr.term, prefixes))
+        return _Node("tokens", tokens=_abstract_term(expr.term, prefixes))
     raise TypeError(f"unknown expression {expr!r}")
 
 
-class _ExprNode:
+class _Node:
+    """An abstracted graph pattern or expression; a ``"tokens"`` leaf holds
+    one token list (a triple template or a term), other kinds ``children``."""
+
     __slots__ = ("kind", "op", "children", "tokens")
 
-    def __init__(self, kind, op=None, children=None, tokens=None):
+    def __init__(self, kind, op=None, children=(), tokens=()):
         self.kind = kind
         self.op = op
-        self.children = children or []
-        self.tokens = tokens or []
+        self.children = children
+        self.tokens = tokens
+
+
+def _count_slots(node: _Node, counts: dict) -> dict:
+    """Add the occurrences of every slot in ``node`` and below to ``counts``."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        for tok in node.tokens:
+            if isinstance(tok, tuple):
+                counts[tok] = counts.get(tok, 0) + 1
+        stack.extend(node.children)
+    return counts
+
+
+def _class_key(part: _Node, totals: dict) -> tuple:
+    """``part``'s structure with its private slots (by the query-wide
+    ``totals``, they occur nowhere else) numbered by first occurrence.
+    Parts with equal keys differ only by a renaming of private slots."""
+    local = _count_slots(part, {})
+    renamed: dict = {}
+    key = []
+    stack = [part]
+    while stack:
+        node = stack.pop()
+        key.append((node.kind, node.op, len(node.tokens), len(node.children)))
+        for tok in node.tokens:
+            if isinstance(tok, tuple) and local[tok] == totals[tok]:
+                tok = renamed.setdefault(tok, (tok[0], len(renamed)))
+            key.append(tok)
+        stack.extend(node.children)
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +312,12 @@ class _Namer:
         for tok in tokens:
             if isinstance(tok, tuple):
                 kind, key = tok
-                if kind == "var":
-                    name = self.vars.setdefault(key, f"?v{len(self.vars) + 1}")
-                else:
-                    name = self.blanks.setdefault(key, f"_:b{len(self.blanks) + 1}")
-                parts.append(name)
-            else:
-                parts.append(tok)
+                names = self.vars if kind == "var" else self.blanks
+                tok = names.get(key)
+                if tok is None:
+                    prefix = "?v" if kind == "var" else "_:b"
+                    tok = names[key] = f"{prefix}{len(names) + 1}"
+            parts.append(tok)
         return " ".join(parts)
 
 
@@ -267,9 +338,9 @@ def _keep_min(candidates: list[tuple[str, object]], key=_Namer.key) -> tuple[str
     return low, kept
 
 
-def _frontier_key(entry: tuple[list, _Namer]) -> tuple:
-    remaining, namer = entry
-    return tuple(map(id, remaining)), namer.key()
+def _frontier_key(entry: tuple[tuple, _Namer]) -> tuple:
+    taken, namer = entry
+    return taken, namer.key()
 
 
 class _Canonicalizer:
@@ -283,6 +354,8 @@ class _Canonicalizer:
     input order.  A strictly smaller fragment always wins regardless of
     what follows (fragments are newline/space joined), so pruning to the
     per-step minimum preserves the global minimum.
+
+    One instance renders one query.
     """
 
     def __init__(self, prefixes: dict[str, str], max_triples: int,
@@ -298,8 +371,18 @@ class _Canonicalizer:
             header += " DISTINCT"
         if ast.verb == "SELECT":
             header += " *" if ast.projection == STAR else " ?proj"
-        body, _states = self._render_group(ast.where, [_Namer()])
+        where = _abstract_pattern(ast.where, self.prefixes, self.max_triples)
+        self.totals = _count_slots(where, {})
+        body, _states = self._render(where, [_Namer()])
         return header + " WHERE " + body
+
+    def _classes(self, parts: list[_Node]) -> list[list[_Node]]:
+        """``parts`` grouped into classes of interchangeable parts, in source
+        order."""
+        classes: dict = {}
+        for part in parts:
+            classes.setdefault(_class_key(part, self.totals), []).append(part)
+        return list(classes.values())
 
     def _bump(self, count: int = 1):
         self.branches += count
@@ -308,54 +391,45 @@ class _Canonicalizer:
                 "too many symmetric orderings during canonicalization"
             )
 
-    def _render_group(self, group: Group, states: list[_Namer]) -> tuple[str, list[_Namer]]:
-        lines: list[str] = ["{"]
-        for item in group.items:
-            text, states = self._render_item(item, states)
-            lines.append(text)
-        lines.append("}")
-        return "\n".join(lines), states
+    def _render(self, node: _Node, states: list[_Namer],
+                top: bool = False) -> tuple[str, list[_Namer]]:
+        kind = node.kind
+        if kind == "tokens":
+            return _keep_min([(trial.render(node.tokens), trial)
+                              for trial in map(_Namer.clone, states)])
+        if kind == "bgp":
+            return self._min_sequence(node.children, states, "\n")
+        if kind in ("and", "or"):
+            sep = " && " if kind == "and" else " || "
+            text, out = self._min_sequence(node.children, states, sep)
+            return (text if top else "(" + text + ")"), out
+        if kind == "cmp":
+            return self._render_commutative_pair(node, states)
+        texts = []
+        for child in node.children:
+            text, states = self._render(child, states, top=kind == "filter")
+            texts.append(text)
+        if kind == "group":
+            return "\n".join(["{", *texts, "}"]), states
+        if kind == "filter":
+            return "FILTER(" + texts[0] + ")", states
+        if kind == "not_exists":
+            return "FILTER NOT EXISTS " + texts[0], states
+        if kind == "bind":
+            return f"BIND({texts[0]} AS {texts[1]})", states
+        if kind == "union":
+            return texts[0] + " UNION " + texts[1], states
+        if kind == "in":
+            return f"{texts[0]} IN ({', '.join(texts[1:])})", states
+        if kind == "fn":
+            return f"{node.op}({', '.join(texts)})", states
+        if kind == "arith":
+            return f"({texts[0]} {node.op} {texts[1]})", states
+        raise TypeError(f"unknown node kind {kind}")
 
-    def _render_item(self, item: GraphPattern, states: list[_Namer]) -> tuple[str, list[_Namer]]:
-        if isinstance(item, Bgp):
-            templates = _flatten_triples(item, self.prefixes)
-            if len(templates) > self.max_triples:
-                raise CanonicalizationLimitExceeded(
-                    f"BGP has {len(templates)} triples, over the bound of "
-                    f"{self.max_triples}"
-                )
-            return self._min_sequence(templates, states, "\n", self._render_tokens)
-        if isinstance(item, Filter):
-            node = _abstract_expr(item.expr, self.prefixes)
-            text, out = self._render_expr(node, states, top=True)
-            return "FILTER(" + text + ")", out
-        if isinstance(item, NotExists):
-            inner, out = self._render_group(item.pattern, states)
-            return "FILTER NOT EXISTS " + inner, out
-        if isinstance(item, Bind):
-            node = _abstract_expr(item.expr, self.prefixes)
-            text, out = self._render_expr(node, states)
-            var_text, out = self._render_tokens(
-                _abstract_term(item.var, self.prefixes), out)
-            return f"BIND({text} AS {var_text})", out
-        if isinstance(item, UnionPattern):
-            left, mid = self._render_group(item.left, states)
-            right, out = self._render_group(item.right, mid)
-            return left + " UNION " + right, out
-        if isinstance(item, Group):
-            return self._render_group(item, states)
-        raise TypeError(f"unknown graph pattern {item!r}")
-
-    def _render_tokens(self, tokens: list, states: list[_Namer]) -> tuple[str, list[_Namer]]:
-        trials = [state.clone() for state in states]
-        return _keep_min([(trial.render(tokens), trial) for trial in trials])
-
-    def _min_sequence(self, parts: list, states: list[_Namer], sep: str,
-                      render) -> tuple[str, list[_Namer]]:
-        """Minimal rendering of an orderable list, over all states.
-
-        ``render(part, states)`` is the renderer of one part.
-        """
+    def _min_sequence(self, parts: list[_Node], states: list[_Namer],
+                      sep: str) -> tuple[str, list[_Namer]]:
+        """Minimal rendering of an orderable list, over all states."""
         if not parts:
             return "", states
         if not self.search:
@@ -364,53 +438,35 @@ class _Canonicalizer:
             # of the AST alone
             texts = []
             for part in parts:
-                text, states = render(part, states)
+                text, states = self._render(part, states)
                 texts.append(text)
             return sep.join(texts), states
 
-        # frontier entries: (remaining_parts, namer); every entry has
-        # emitted the identical text so far
-        frontier: list[tuple[list, _Namer]] = [(list(parts), s) for s in states]
+        # taking a later part of a class first renders the same texts with
+        # the names of private slots swapped, which nothing else reads; so
+        # classes are taken in source order, and a frontier entry, (parts
+        # taken per class, namer), has emitted the identical text so far
+        classes = [parts] if len(parts) == 1 else self._classes(parts)
+        frontier: list[tuple[tuple, _Namer]] = [
+            ((0,) * len(classes), s) for s in states]
         emitted: list[str] = []
-        while frontier[0][0]:
+        for _ in parts:
             candidates = []
-            for remaining, nm in frontier:
-                for idx, part in enumerate(remaining):
+            for taken, nm in frontier:
+                for c, members in enumerate(classes):
+                    i = taken[c]
+                    if i == len(members):
+                        continue
                     self._bump()
-                    text, outs = render(part, [nm])
-                    rest = remaining[:idx] + remaining[idx + 1:]
-                    candidates.extend((text, (rest, out)) for out in outs)
+                    text, outs = self._render(members[i], [nm])
+                    after = taken[:c] + (i + 1,) + taken[c + 1:]
+                    candidates.extend((text, (after, out)) for out in outs)
             low, frontier = _keep_min(candidates, _frontier_key)
             emitted.append(low)
             self._bump(len(frontier))
         return sep.join(emitted), [nm for _, nm in frontier]
 
-    def _render_expr(self, node: _ExprNode, states: list[_Namer],
-                     top: bool = False) -> tuple[str, list[_Namer]]:
-        if node.kind == "term":
-            return self._render_tokens(node.tokens, states)
-        if node.kind == "cmp":
-            return self._render_commutative_pair(node, states)
-        if node.kind in ("and", "or"):
-            sep = " && " if node.kind == "and" else " || "
-            text, out = self._min_sequence(node.children, states, sep,
-                                           self._render_expr)
-            if not top:
-                text = "(" + text + ")"
-            return text, out
-        texts = []
-        for child in node.children:
-            text, states = self._render_expr(child, states)
-            texts.append(text)
-        if node.kind == "in":
-            return f"{texts[0]} IN ({', '.join(texts[1:])})", states
-        if node.kind == "fn":
-            return f"{node.op}({', '.join(texts)})", states
-        if node.kind == "arith":
-            return f"({texts[0]} {node.op} {texts[1]})", states
-        raise TypeError(f"unknown expression node kind {node.kind}")
-
-    def _render_commutative_pair(self, node: _ExprNode, states: list[_Namer]) -> tuple[str, list[_Namer]]:
+    def _render_commutative_pair(self, node: _Node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
         if node.op not in ("=", "!="):
             raise TypeError(f"unexpected comparison {node.op}")
         orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)
@@ -418,9 +474,9 @@ class _Canonicalizer:
         for state in states:
             for first, second in orders:
                 self._bump()
-                left, mids = self._render_expr(node.children[first], [state])
+                left, mids = self._render(node.children[first], [state])
                 for mid in mids:
-                    right, outs = self._render_expr(node.children[second], [mid])
+                    right, outs = self._render(node.children[second], [mid])
                     candidates.extend((f"{left} {node.op} {right}", out) for out in outs)
         return _keep_min(candidates)
 

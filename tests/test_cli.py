@@ -167,6 +167,32 @@ def test_undeclared_prefix_is_untranslatable(tmp_path, capsys):
     assert "bad" in (out / "keywords_excluded.csv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("layout", ["jsonl", "dataset_dir"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_cq_without_a_word_exit_1(tmp_path, capsys, command, layout):
+    # annotation and classification have nothing to work on in a bare "?";
+    # the loader rejects it, so validate and report agree on exit 1
+    if layout == "jsonl":
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"id": "q1", "ontology": "AWO", "cq": "?",
+                                      "query": "ASK { ?x a ?y }"}) + "\n",
+                          encoding="utf-8")
+        where = f"{corpus}:1"
+    else:
+        corpus = tmp_path / "dataset"
+        (corpus / "awo" / "questions").mkdir(parents=True)
+        (corpus / "awo" / "manifest.json").write_text(
+            json.dumps({"ontology": "AWO"}), encoding="utf-8")
+        question = corpus / "awo" / "questions" / "q1.txt"
+        question.write_text("\n?\n", encoding="utf-8")
+        where = f"{question}:2"
+    out = tmp_path / "out"
+    assert run(command, "--corpus", corpus, "--format", layout,
+               "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {where}: field 'cq' has no word: '?'\n"
+    assert not out.exists()
+
+
 def test_markdown_cells_escape_pipes(tmp_path):
     corpus = write_corpus(tmp_path / "c.jsonl", [
         ("q1", "SELECT ?x WHERE { ?x a awo:plant . "
@@ -193,12 +219,28 @@ def test_markdown_cells_escape_pipes(tmp_path):
     ("--rules", "missing.json"),
     ("--rules", "not-json.json"),
     ("--rules", "object.json"),
+    ("--rules", "unknown-matcher.json"),
+    ("--rules", "unknown-target.json"),
+    ("--rules", "bad-skeleton.json"),
+    ("--rules", "undeclared-prefix.json"),
+    ("--rules", "string-matcher.json"),
 ])
 @pytest.mark.parametrize("command", ["validate", "report"])
 def test_bad_flag_values_exit_1(tmp_path, capsys, command, flag, value):
     (tmp_path / "not-json.json").write_text("{oops", encoding="utf-8")
     (tmp_path / "list.json").write_text('["awo_2"]', encoding="utf-8")
     (tmp_path / "object.json").write_text('{"id": "r"}', encoding="utf-8")
+    rule = {"id": "r", "matcher_kind": "contains_word", "matcher_value": ["or"],
+            "target_kind": "skeleton", "target_value": "ASK { ?x a ?y }"}
+    for name, field, bad in (
+        ("unknown-matcher.json", "matcher_kind", "initial"),
+        ("unknown-target.json", "target_kind", "shape"),
+        ("bad-skeleton.json", "target_value", "ASK { ?x a"),
+        ("undeclared-prefix.json", "target_value", "ASK { ?x zz:p ?y }"),
+        ("string-matcher.json", "matcher_value", "or"),
+    ):
+        (tmp_path / name).write_text(json.dumps([{**rule, field: bad}]),
+                                     encoding="utf-8")
     if value.endswith(".json"):
         value = tmp_path / value
     out = tmp_path / "out"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -98,9 +99,19 @@ def test_guard_on_oversized_bgp():
 
 
 def test_guard_on_pathological_symmetry():
-    # twenty indistinguishable triples would explode the tie search even
-    # under a raised triple bound; the branch cap turns it into an error
+    # twenty triples that coincide once IRIs become :URI; each variable
+    # occurs in one triple only, so the triples are interchangeable and the
+    # search takes them in one fixed order instead of branching on each
     triples = " . ".join(f"?x{i} ex:p ex:C{i}" for i in range(20))
+    ast = parse_query(f"SELECT * WHERE {{ {triples} }}", PREFIXES)
+    expected = ["SELECT * WHERE {"] + [f"?v{i} :URI :URI ." for i in range(1, 21)]
+    assert canonicalize(ast, max_triples=32).skeleton == "\n".join(expected + ["}"])
+
+
+def test_guard_on_unprunable_symmetry():
+    # six disjoint 2-cycles: every variable is shared by two triples, so no
+    # triple is interchangeable with another and the branch cap still fires
+    triples = " . ".join(f"?a{i} ex:p ?b{i} . ?b{i} ex:q ?a{i}" for i in range(6))
     ast = parse_query(f"SELECT * WHERE {{ {triples} }}", PREFIXES)
     with pytest.raises(CanonicalizationLimitExceeded):
         canonicalize(ast, max_triples=32)
@@ -333,3 +344,95 @@ def test_determinism_byte_identical():
     first = canonicalize(parse_query(q, PREFIXES)).skeleton
     for _ in range(5):
         assert canonicalize(parse_query(q, PREFIXES)).skeleton == first
+
+
+# ---------------------------------------------------------------------------
+# interchangeable parts: queries whose triples and FILTER conjuncts coincide
+# once IRIs become :URI, some with private variables or blanks and some tied
+# to the rest of the query, where an unsound notion of "private" would show
+
+
+def _pruning_case(rng: random.Random) -> tuple[list, list, list]:
+    """Main-BGP triples and FILTER conjuncts (two to five parts in all) plus
+    the context items that tie some of them to the rest of the query.  Names
+    are ``{k}`` placeholders: ``?{k}`` a variable, ``_:{k}`` a blank,
+    ``ex:{k}`` an IRI."""
+    triples: list[str] = []
+    conjuncts: list[str] = []
+    context: list[str] = []
+    counter = itertools.count()
+
+    def fresh() -> str:
+        return "{k%d}" % next(counter)
+
+    hub = fresh()
+    kinds = {
+        # one part, with private slots only
+        "private": lambda v: triples.append(f"?{v} ex:p ex:{fresh()}"),
+        "repeated": lambda v: triples.append(f"?{v} ex:p ?{v}"),
+        "blank": lambda v: triples.append(f"_:{v} ex:p ex:{fresh()}"),
+        "private conjunct": lambda v: conjuncts.append(f"?{v} != ex:{fresh()}"),
+        # the hub variable is shared once two triples use it
+        "hub": lambda v: triples.append(f"?{hub} ex:p ?{v}"),
+        # a variable shared with another triple or a later FILTER conjunct
+        "pair": lambda v: triples.extend(
+            [f"?{v} ex:p ex:{fresh()}", f"?{v} ex:q ex:{fresh()}"]),
+        "filter": lambda v: (triples.append(f"?{v} ex:p ex:{fresh()}"),
+                             conjuncts.append(f"?{v} != ex:{fresh()}")),
+        # a variable shared with the rest of the query
+        "bind": lambda v: (triples.append(f"?{v} ex:p ex:{fresh()}"),
+                           context.append(f"BIND(ex:{fresh()} AS ?{v})")),
+        "not exists": lambda v: (
+            triples.append(f"?{v} ex:p ex:{fresh()}"),
+            context.append(f"FILTER NOT EXISTS {{ ?{v} ex:q ex:{fresh()} }}")),
+        "union": lambda v: (
+            triples.append(f"?{v} ex:p ex:{fresh()}"),
+            context.append(f"{{ ?{v} ex:q ex:{fresh()} }} UNION "
+                           f"{{ ?{fresh()} ex:q ex:{fresh()} }}")),
+    }
+    two_parts = {"pair", "filter"}
+    size = rng.randint(2, 5)
+    kinds["private"](fresh())
+    while len(triples) + len(conjuncts) < size:
+        kind = rng.choice(sorted(kinds))
+        if kind in two_parts and len(triples) + len(conjuncts) + 2 > size:
+            continue
+        kinds[kind](fresh())
+    return triples, conjuncts, context
+
+
+def _pruning_query(case: tuple[list, list, list],
+                   rng: random.Random | None = None) -> QueryAst:
+    """The parsed query of a case; with ``rng``, the triples and conjuncts
+    are shuffled, comparison operands flipped and every name replaced."""
+    triples, conjuncts, context = (list(part) for part in case)
+    keys = sorted(set(re.findall(r"{(k\d+)}", " ".join(triples + conjuncts + context))))
+    names = {k: k.upper() for k in keys}
+    if rng is not None:
+        rng.shuffle(triples)
+        rng.shuffle(conjuncts)
+        conjuncts = [" != ".join(c.split(" != ")[::-1]) if rng.random() < 0.5 else c
+                     for c in conjuncts]
+        for i, k in enumerate(rng.sample(keys, len(keys))):
+            names[k] = f"r{rng.randint(0, 99)}x{i}"
+    items = [" . ".join(triples) + " ."] + context
+    if conjuncts:
+        items.append(f"FILTER({' && '.join(conjuncts)})")
+    text = "SELECT * WHERE { " + " ".join(items) + " }"
+    return parse_query(re.sub(r"{(k\d+)}", lambda m: names[m[1]], text), PREFIXES)
+
+
+def test_interchangeable_parts_keep_global_minimum():
+    rng = random.Random(4)
+    for _ in range(150):
+        ast = _pruning_query(_pruning_case(rng))
+        assert canonicalize(ast).skeleton == _oracle_minimum(ast)
+
+
+def test_interchangeable_parts_invariant_under_shuffle_and_renaming():
+    rng = random.Random(5)
+    for _ in range(150):
+        case = _pruning_case(rng)
+        expected = canonicalize(_pruning_query(case)).skeleton
+        for _ in range(3):
+            assert canonicalize(_pruning_query(case, rng)).skeleton == expected
