@@ -10,12 +10,15 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__, reference
 from .corpus import Corpus, CorpusError, load_corpus, translatability_report
 from .correspondence import load_rules
+from .linguistics import AnnotationError
 from .patterns import (
+    CoverageRow,
     avg_cqs_per_pattern,
     classify_cq,
     coverage_stats,
@@ -25,11 +28,6 @@ from .pipeline import AnalysisBundle, discovery_for, mapping_for, run_pipeline, 
 from .queryparse import keyword_report, serialize_query
 from .reporting import Table, write_jsonl
 from .signatures import DEFAULT_MAX_TRIPLES, coverage_table
-
-SUBCOMMANDS = (
-    "validate", "chunk", "patterns", "classify", "parse", "keywords",
-    "signatures", "map", "signals", "report",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +75,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (CorpusError, FileNotFoundError, FlagError) as exc:
+    except (AnnotationError, CorpusError, FileNotFoundError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
@@ -89,7 +87,6 @@ def _dispatch(args) -> int:
     started = time.perf_counter()
     formats = _check_flags(args)
     corpus = load_corpus(Path(args.corpus), format=args.format)
-    out: Path = args.out
 
     if args.command == "validate":
         return _cmd_validate(corpus)
@@ -99,30 +96,25 @@ def _dispatch(args) -> int:
         overrides=args.overrides, max_triples=args.max_triples,
     )
 
-    steps = {
-        "chunk": _cmd_chunk,
-        "patterns": _cmd_patterns,
-        "classify": _cmd_classify,
-        "parse": _cmd_parse,
-        "keywords": _cmd_keywords,
-        "signatures": _cmd_signatures,
-        "map": _cmd_map,
-        "signals": _cmd_signals,
-    }
-    if args.command == "report":
-        for step in steps.values():
-            step(bundle, out, formats, args)
-    else:
-        steps[args.command](bundle, out, formats, args)
-    _write_manifest(out, args, started)
+    def emit(name: str, columns: list[str], rows) -> None:
+        table = Table(name, columns)
+        for row in rows:
+            table.add(*row)
+        table.write(args.out, formats)
+
+    steps = STEPS.values() if args.command == "report" else [STEPS[args.command]]
+    for step in steps:
+        step(bundle, emit, args)
+    _write_manifest(args.out, args, started)
     return 0
 
 
 def _check_flags(args) -> list[str]:
     """Reject unusable flag values before anything is loaded.
 
-    Returns the report formats, and replaces the ``--overrides`` and
-    ``--rules`` paths on ``args`` with the parsed contents of those files.
+    Returns the report formats, and replaces the ``--overrides``,
+    ``--rules`` and ``--stoplist`` paths on ``args`` with the parsed
+    contents of those files.
     """
     formats = [f.strip() for f in args.emit.split(",") if f.strip()]
     for fmt in formats:
@@ -134,6 +126,7 @@ def _check_flags(args) -> list[str]:
             raise FlagError(f"{flag} must be at least {least}, got {value}")
     args.overrides = _read_flag_file("--overrides", args.overrides, _load_overrides)
     args.rules = _read_flag_file("--rules", args.rules, load_rules)
+    args.stoplist = _read_flag_file("--stoplist", args.stoplist, _load_stoplist)
     return formats
 
 
@@ -155,6 +148,14 @@ def _load_overrides(path: Path) -> dict[str, str]:
     return overrides
 
 
+def _load_stoplist(path: Path) -> frozenset[str]:
+    return frozenset(
+        w.strip().lower()
+        for w in path.read_text(encoding="utf-8").splitlines()
+        if w.strip()
+    )
+
+
 def _cmd_validate(corpus: Corpus) -> int:
     # corpus structural invariants were enforced during loading; report
     # remaining data-quality findings (unparseable queries) and summarize
@@ -172,253 +173,211 @@ def _cmd_validate(corpus: Corpus) -> int:
     return 0
 
 
-def _cmd_chunk(bundle: AnalysisBundle, out, formats, args) -> None:
-    table = Table("chunks", ["cq_id", "ontology", "chunks", "candidate"])
-    candidate_text = {c.cq_id: c.text for c in bundle.candidates}
-    for q in bundle.corpus.questions:
-        sentence = bundle.sentences[q.id]
-        chunk_desc = "; ".join(
-            f"{c.label}={c.surface_text}" for c in sentence.chunks
-        )
-        table.add(q.id, q.ontology, chunk_desc, candidate_text[q.id])
-    table.write(out, formats)
+def _cmd_chunk(bundle: AnalysisBundle, emit, args) -> None:
+    emit("chunks", ["cq_id", "ontology", "chunks", "candidate"], (
+        (c.cq_id, c.ontology,
+         "; ".join(f"{chunk.label}={chunk.surface_text}"
+                   for chunk in bundle.sentences[c.cq_id].chunks),
+         c.text)
+        for c in bundle.candidates
+    ))
 
 
-def _cmd_patterns(bundle: AnalysisBundle, out, formats, args) -> None:
+def _cmd_patterns(bundle: AnalysisBundle, emit, args) -> None:
     order = bundle.corpus.ontology_names()
-
-    coverage = Table("pattern_coverage", [
-        "ontology", "candidates", "patterns", "distinct_patterns",
-        "coverage_pct", "materialized", "dematerialized", "distinct_higher",
-    ])
     rows = coverage_stats(bundle.candidates, bundle.patterns, bundle.higher,
                           ontology_order=order)
-    for r in rows:
-        coverage.add(r.ontology, r.candidates, r.patterns,
-                     r.distinct_patterns, r.coverage_pct, r.materialized,
-                     r.dematerialized, r.distinct_higher)
-    coverage.write(out, formats)
+    emit("pattern_coverage", [f.name for f in fields(CoverageRow)],
+         map(astuple, rows))
 
     for level, inventory in (("pattern", bundle.patterns),
                              ("higher", bundle.higher)):
-        shared = Table(f"shared_{level}s", ["pattern", "ontologies"])
-        for text, ontos in cross_set_reuse(inventory):
-            shared.add(text, ontos)
-        shared.write(out, formats)
+        emit(f"shared_{level}s", ["pattern", "ontologies"],
+             cross_set_reuse(inventory))
+        emit(f"avg_cqs_per_{level}", ["ontology", "average"],
+             avg_cqs_per_pattern(bundle.candidates, inventory,
+                                 ontology_order=order))
 
-        averages = Table(f"avg_cqs_per_{level}", ["ontology", "average"])
-        for onto, avg in avg_cqs_per_pattern(bundle.candidates, inventory,
-                                             ontology_order=order):
-            averages.add(onto, avg)
-        averages.write(out, formats)
-
-    write_jsonl(out / "pattern_inventory.jsonl", (
+    write_jsonl(args.out / "pattern_inventory.jsonl", (
         {"text": p.text, "level": p.level, "support": p.support,
          "ontologies": sorted(p.ontologies)}
         for p in list(bundle.patterns) + list(bundle.higher)
     ))
 
-    rejects = Table("rejected_candidates", ["cq_id", "ontology", "candidate",
-                                            "reason"])
-    for r in bundle.rejected:
-        rejects.add(r.cq_id, r.ontology, r.text, r.reason)
-    rejects.write(out, formats)
+    emit("rejected_candidates", ["cq_id", "ontology", "candidate", "reason"],
+         ((r.cq_id, r.ontology, r.text, r.reason) for r in bundle.rejected))
 
     if args.paper_calibration:
-        _calibrate_coverage(rows, out, formats)
+        calib = []
+        for r in rows:
+            ref = reference.PATTERN_COVERAGE.get(r.ontology)
+            if ref is not None:
+                calib.append((r.ontology, r.distinct_patterns, ref[2],
+                              r.distinct_higher, ref[6]))
+        emit("pattern_coverage_calibration", [
+            "ontology", "computed_distinct", "reference_distinct",
+            "computed_higher", "reference_higher",
+        ], calib)
 
 
-def _cmd_classify(bundle: AnalysisBundle, out, formats, args) -> None:
-    table = Table("cq_features", [
+def _cmd_classify(bundle: AnalysisBundle, emit, args) -> None:
+    rows = []
+    for c in bundle.candidates:
+        features = classify_cq(c.text)
+        rows.append((c.cq_id, c.ontology, features.question_type,
+                     features.polarity, features.modifier, features.dinde))
+    emit("cq_features", [
         "cq_id", "ontology", "question_type", "polarity", "modifier", "dinde",
-    ])
-    candidate_text = {c.cq_id: c.text for c in bundle.candidates}
-    for q in bundle.corpus.questions:
-        features = classify_cq(candidate_text[q.id])
-        table.add(q.id, q.ontology, features.question_type,
-                  features.polarity, features.modifier, features.dinde)
-    table.write(out, formats)
+    ], rows)
 
 
-def _cmd_parse(bundle: AnalysisBundle, out, formats, args) -> None:
-    table = Table("parse_report", ["cq_id", "ontology", "status", "detail"])
+def _cmd_parse(bundle: AnalysisBundle, emit, args) -> None:
     errors = dict(bundle.parse_errors)
-    for q in bundle.corpus.questions:
-        if q.query_text is None:
-            continue
-        if q.id in bundle.asts:
-            table.add(q.id, q.ontology, "ok", "")
-        else:
-            table.add(q.id, q.ontology, "error", errors[q.id])
-    table.write(out, formats)
-    write_jsonl(out / "parsed_queries.jsonl", (
+    emit("parse_report", ["cq_id", "ontology", "status", "detail"], (
+        (q.id, q.ontology, "ok", "") if q.id in bundle.asts
+        else (q.id, q.ontology, "error", errors[q.id])
+        for q in bundle.corpus.questions if q.query_text is not None
+    ))
+    write_jsonl(args.out / "parsed_queries.jsonl", (
         {"cq_id": qid, "canonical_text": serialize_query(ast)}
         for qid, ast in sorted(bundle.asts.items())
     ))
-    _cmd_translatability(bundle, out, formats, args)
+
+    rows, errors = translatability_report(bundle.corpus)
+    emit("translatability", ["ontology", "cq_count", "translated"],
+         map(astuple, rows))
+    if errors:
+        emit("untranslatable_queries", ["cq_id", "error"], errors)
+    if args.paper_calibration:
+        emit("translatability_calibration", [
+            "ontology", "computed_cqs", "computed_translated",
+            "reference_cqs", "reference_translated",
+        ], (
+            (r.ontology, r.cq_count, r.translated_count,
+             *reference.TRANSLATABILITY.get(r.ontology, (0, 0)))
+            for r in rows
+        ))
 
 
-def _cmd_keywords(bundle: AnalysisBundle, out, formats, args) -> None:
+def _cmd_keywords(bundle: AnalysisBundle, emit, args) -> None:
     rows, errors = keyword_report(bundle.corpus)
     onto_names = bundle.corpus.ontology_names()
-    table = Table("keywords", ["keyword", "total", *onto_names])
-    for r in rows:
-        table.add(r["keyword"], r["total"],
-                  *[r["per_ontology"].get(o, 0) for o in onto_names])
-    table.write(out, formats)
+    emit("keywords", ["keyword", "total", *onto_names], (
+        (r["keyword"], r["total"],
+         *[r["per_ontology"].get(o, 0) for o in onto_names])
+        for r in rows
+    ))
     if errors:
-        excluded = Table("keywords_excluded", ["cq_id", "error"])
-        for qid, message in errors:
-            excluded.add(qid, message)
-        excluded.write(out, formats)
+        emit("keywords_excluded", ["cq_id", "error"], errors)
     if args.paper_calibration:
-        calib = Table("keywords_calibration",
-                      ["keyword", "computed", "reference", "delta"])
+        calib = []
         for r in rows:
             ref = reference.KEYWORD_USAGE.get(r["keyword"], (0, {}))[0]
-            calib.add(r["keyword"], r["total"], ref, r["total"] - ref)
-        calib.write(out, formats)
+            calib.append((r["keyword"], r["total"], ref, r["total"] - ref))
+        emit("keywords_calibration",
+             ["keyword", "computed", "reference", "delta"], calib)
 
 
-def _cmd_signatures(bundle: AnalysisBundle, out, formats, args) -> None:
-    table = Table("signatures", [
+def _cmd_signatures(bundle: AnalysisBundle, emit, args) -> None:
+    rows = coverage_table(bundle.signature_groups)
+    emit("signatures", [
         "rank", "verb", "distinct", "count", "cumulative_pct", "members",
         "skeleton",
-    ])
-    rows = coverage_table(bundle.signature_groups)
-    for r in rows:
-        table.add(r["rank"], r["verb"], r["distinct"], r["count"],
-                  r["cumulative_pct"], r["members"],
-                  r["skeleton"].replace("\n", " "))
-    table.write(out, formats)
-    write_jsonl(out / "signature_inventory.jsonl", (
+    ], (
+        (r["rank"], r["verb"], r["distinct"], r["count"],
+         r["cumulative_pct"], r["members"], r["skeleton"].replace("\n", " "))
+        for r in rows
+    ))
+    write_jsonl(args.out / "signature_inventory.jsonl", (
         {"skeleton": g.signature.skeleton, "verb": g.signature.verb,
          "distinct": g.signature.distinct, "members": g.member_ids,
          "count": g.count}
         for g in bundle.signature_groups
     ))
-    skipped = Table("signatures_skipped", ["cq_id", "reason"])
-    for qid, reason in bundle.signature_skipped:
-        skipped.add(qid, reason)
-    skipped.write(out, formats)
+    emit("signatures_skipped", ["cq_id", "reason"], bundle.signature_skipped)
     if args.paper_calibration:
         computed = len(bundle.signature_groups)
-        top9 = rows[8]["cumulative_pct"] if len(rows) >= 9 else (
-            rows[-1]["cumulative_pct"] if rows else 0.0
-        )
-        calib = Table("signatures_calibration",
-                      ["metric", "computed", "reference", "delta"])
-        calib.add("distinct signatures", computed, reference.SIGNATURE_COUNT,
-                  computed - reference.SIGNATURE_COUNT)
-        calib.add("top-9 coverage pct", top9,
+        top9 = rows[min(8, len(rows) - 1)]["cumulative_pct"] if rows else 0.0
+        emit("signatures_calibration",
+             ["metric", "computed", "reference", "delta"], [
+                 ("distinct signatures", computed, reference.SIGNATURE_COUNT,
+                  computed - reference.SIGNATURE_COUNT),
+                 ("top-9 coverage pct", top9,
                   reference.TOP9_SIGNATURE_COVERAGE_PCT,
-                  round(top9 - reference.TOP9_SIGNATURE_COVERAGE_PCT, 1))
-        calib.write(out, formats)
+                  round(top9 - reference.TOP9_SIGNATURE_COVERAGE_PCT, 1)),
+             ])
 
 
-def _cmd_map(bundle: AnalysisBundle, out, formats, args) -> None:
+def _cmd_map(bundle: AnalysisBundle, emit, args) -> None:
     for level in ("pattern", "higher"):
         edges, summary = mapping_for(bundle, level=level)
-        table = Table(f"mapping_{level}", [
-            "pattern", "signature", "witnesses",
+        emit(f"mapping_{level}", ["pattern", "signature", "witnesses"], (
+            (e.pattern_text, e.signature_skeleton.replace("\n", " "),
+             e.witness_cq_ids)
+            for e in edges
+        ))
+        emit(f"mapping_{level}_summary", ["metric", "value"], [
+            ("edges", summary.edges),
+            ("patterns with 2+ signatures",
+             summary.patterns_with_multiple_signatures),
+            ("signatures with 2+ patterns",
+             summary.signatures_with_multiple_patterns),
+            ("pattern degree histogram",
+             _fmt_hist(summary.pattern_degree_histogram)),
+            ("signature degree histogram",
+             _fmt_hist(summary.signature_degree_histogram)),
         ])
-        for e in edges:
-            table.add(e.pattern_text, e.signature_skeleton.replace("\n", " "),
-                      e.witness_cq_ids)
-        table.write(out, formats)
-        stats = Table(f"mapping_{level}_summary", ["metric", "value"])
-        stats.add("edges", summary.edges)
-        stats.add("patterns with 2+ signatures",
-                  summary.patterns_with_multiple_signatures)
-        stats.add("signatures with 2+ patterns",
-                  summary.signatures_with_multiple_patterns)
-        stats.add("pattern degree histogram",
-                  _fmt_hist(summary.pattern_degree_histogram))
-        stats.add("signature degree histogram",
-                  _fmt_hist(summary.signature_degree_histogram))
-        stats.write(out, formats)
 
 
 def _fmt_hist(hist) -> str:
     return "; ".join(f"degree {d}: {n}" for d, n in hist)
 
 
-def _cmd_signals(bundle: AnalysisBundle, out, formats, args) -> None:
+def _cmd_signals(bundle: AnalysisBundle, emit, args) -> None:
     rows = signals_for(bundle, args.rules)
-    table = Table("signals", [
-        "rule", "signal", "target", "support", "non_evidential",
-    ])
-    for r in rows:
-        table.add(r.rule_id, r.signal, r.target.replace("\n", " "),
-                  r.fraction, r.non_evidential)
-    table.write(out, formats)
+    emit("signals", ["rule", "signal", "target", "support", "non_evidential"], (
+        (r.rule_id, r.signal, r.target.replace("\n", " "), r.fraction,
+         r.non_evidential)
+        for r in rows
+    ))
 
-    stoplist = None
-    if args.stoplist is not None:
-        stoplist = frozenset(
-            w.strip().lower()
-            for w in args.stoplist.read_text(encoding="utf-8").splitlines()
-            if w.strip()
-        )
     discovered = discovery_for(bundle, min_support=args.min_support,
-                               stoplist=stoplist)
-    disc = Table("discovered_signals", [
+                               stoplist=args.stoplist)
+    emit("discovered_signals", [
         "ngram", "group_size", "subgroup_size", "ratio_pct", "skeleton",
-    ])
-    for d in discovered:
-        disc.add(" ".join(d.ngram), d.group_size, d.subgroup_size,
-                 round(100.0 * d.ratio, 1), d.skeleton.replace("\n", " "))
-    disc.write(out, formats)
+    ], (
+        (" ".join(d.ngram), d.group_size, d.subgroup_size,
+         round(100.0 * d.ratio, 1), d.skeleton.replace("\n", " "))
+        for d in discovered
+    ))
 
     if args.paper_calibration:
-        calib = Table("signals_calibration", [
-            "rule", "computed", "reference", "delta_numerator",
-            "delta_denominator",
-        ])
+        calib = []
         for r in rows:
             ref = reference.SIGNAL_SUPPORT.get(r.rule_id)
-            if ref is None:
-                continue
-            calib.add(r.rule_id, f"{r.numerator}/{r.denominator}",
-                      f"{ref[0]}/{ref[1]}", r.numerator - ref[0],
-                      r.denominator - ref[1])
-        calib.write(out, formats)
+            if ref is not None:
+                calib.append((r.rule_id, f"{r.numerator}/{r.denominator}",
+                              f"{ref[0]}/{ref[1]}", r.numerator - ref[0],
+                              r.denominator - ref[1]))
+        emit("signals_calibration", [
+            "rule", "computed", "reference", "delta_numerator",
+            "delta_denominator",
+        ], calib)
 
 
-def _cmd_translatability(bundle: AnalysisBundle, out, formats, args) -> None:
-    rows, errors = translatability_report(bundle.corpus)
-    table = Table("translatability", ["ontology", "cq_count", "translated"])
-    for r in rows:
-        table.add(r.ontology, r.cq_count, r.translated_count)
-    table.write(out, formats)
-    if errors:
-        bad = Table("untranslatable_queries", ["cq_id", "error"])
-        for qid, msg in errors:
-            bad.add(qid, msg)
-        bad.write(out, formats)
-    if args.paper_calibration:
-        calib = Table("translatability_calibration", [
-            "ontology", "computed_cqs", "computed_translated",
-            "reference_cqs", "reference_translated",
-        ])
-        for r in rows:
-            ref = reference.TRANSLATABILITY.get(r.ontology, (0, 0))
-            calib.add(r.ontology, r.cq_count, r.translated_count, *ref)
-        calib.write(out, formats)
-
-
-def _calibrate_coverage(rows, out, formats) -> None:
-    calib = Table("pattern_coverage_calibration", [
-        "ontology", "computed_distinct", "reference_distinct",
-        "computed_higher", "reference_higher",
-    ])
-    for r in rows:
-        ref = reference.PATTERN_COVERAGE.get(r.ontology)
-        if ref is None:
-            continue
-        calib.add(r.ontology, r.distinct_patterns, ref[2],
-                  r.distinct_higher, ref[6])
-    calib.write(out, formats)
+# The table-writing steps, in the order ``report`` runs them; each writes
+# its tables through ``emit(name, columns, rows)``.
+STEPS = {
+    "chunk": _cmd_chunk,
+    "patterns": _cmd_patterns,
+    "classify": _cmd_classify,
+    "parse": _cmd_parse,
+    "keywords": _cmd_keywords,
+    "signatures": _cmd_signatures,
+    "map": _cmd_map,
+    "signals": _cmd_signals,
+}
+SUBCOMMANDS = ("validate", *STEPS, "report")
 
 
 def _write_manifest(out: Path, args, started: float) -> None:

@@ -39,7 +39,8 @@ class OntologyId:
         if not self.short_name:
             raise CorpusError("ontology short_name must be nonempty")
         for prefix, iri in self.prefix_table:
-            if not iri.startswith(("http://", "https://", "urn:")):
+            if not (isinstance(iri, str)
+                    and iri.startswith(("http://", "https://", "urn:"))):
                 raise CorpusError(
                     f"ontology {self.short_name}: namespace for prefix "
                     f"{prefix!r} is not an absolute IRI: {iri!r}"
@@ -163,6 +164,18 @@ def default_prefix_tables() -> dict[str, dict[str, str]]:
     return json.loads(data.read_text(encoding="utf-8"))
 
 
+def _load_prefix_tables(path: Path) -> dict[str, dict[str, str]]:
+    try:
+        tables = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+    if not (isinstance(tables, dict)
+            and all(isinstance(t, dict) for t in tables.values())):
+        raise CorpusError(f"{path}: expected an object mapping ontology "
+                          "names to prefix tables")
+    return tables
+
+
 def _ontology_from_tables(
     name: str, tables: dict[str, dict[str, str]]
 ) -> OntologyId:
@@ -179,10 +192,11 @@ _ALLOWED_FIELDS = {"id", "ontology", "cq", "query", "answers"}
 
 def load_jsonl(path: Path, prefix_tables: Optional[dict[str, dict[str, str]]] = None) -> Corpus:
     path = Path(path)
+    tables_path = path
     if prefix_tables is None:
         sidecar = path.with_suffix(".prefixes.json")
         if sidecar.exists():
-            prefix_tables = json.loads(sidecar.read_text(encoding="utf-8"))
+            prefix_tables, tables_path = _load_prefix_tables(sidecar), sidecar
         else:
             prefix_tables = default_prefix_tables()
     questions: list[CompetencyQuestion] = []
@@ -232,7 +246,10 @@ def load_jsonl(path: Path, prefix_tables: Optional[dict[str, dict[str, str]]] = 
                 query, tuple(answers),
             )
         )
-    ontologies = [_ontology_from_tables(n, prefix_tables) for n in names]
+    try:
+        ontologies = [_ontology_from_tables(n, prefix_tables) for n in names]
+    except CorpusError as exc:
+        raise CorpusError(f"{tables_path}: {exc}") from exc
     return Corpus(ontologies, questions)
 
 
@@ -272,7 +289,10 @@ def load_dataset_dir(root: Path) -> Corpus:
             raise CorpusError(f"{manifest_path}: 'ontology' must be a nonempty string")
         if not isinstance(prefixes, dict):
             raise CorpusError(f"{manifest_path}: 'prefixes' must be an object")
-        ontologies.append(OntologyId(name, tuple(sorted(prefixes.items()))))
+        try:
+            ontologies.append(OntologyId(name, tuple(sorted(prefixes.items()))))
+        except CorpusError as exc:
+            raise CorpusError(f"{manifest_path}: {exc}") from exc
         qdir = onto_dir / "questions"
         if not qdir.is_dir():
             raise CorpusError(f"{onto_dir}: missing questions/ directory")

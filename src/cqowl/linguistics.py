@@ -358,7 +358,7 @@ def read_conllu(path: Path) -> list[list[TokenAnnotation]]:
         line = line.strip("\n")
         if not line.strip():
             if current:
-                sentences.append(_finish_conllu_sentence(current, lineno))
+                sentences.append(_finish_conllu_sentence(path, current))
                 current = []
             continue
         if line.startswith("#"):
@@ -379,22 +379,26 @@ def read_conllu(path: Path) -> list[list[TokenAnnotation]]:
             ) from exc
         if upos not in POS_TAGS:
             upos = "X"
-        current.append((form, upos, head, cols[7]))
+        current.append((form, upos, head, cols[7], lineno))
     if current:
-        sentences.append(_finish_conllu_sentence(current, lineno))
+        sentences.append(_finish_conllu_sentence(path, current))
     return sentences
 
 
-def _finish_conllu_sentence(rows, lineno) -> list[TokenAnnotation]:
+def _finish_conllu_sentence(path, rows) -> list[TokenAnnotation]:
     tokens = []
-    for i, (form, upos, head, deprel) in enumerate(rows):
+    for i, (form, upos, head, deprel, lineno) in enumerate(rows):
         head_idx = i if head == 0 else head - 1
         if not (0 <= head_idx < len(rows)):
-            raise AnnotationError(f"line {lineno}: HEAD out of range")
+            raise AnnotationError(f"{path}: line {lineno}: HEAD {head} out of range")
         tokens.append(
             TokenAnnotation(i, form, upos, head_idx, deprel,
                             form.startswith("[") and form.endswith("]"))
         )
+    try:
+        _validate_tokens(tokens)
+    except AnnotationError as exc:
+        raise AnnotationError(f"{path}: sentence at line {rows[0][4]}: {exc}") from exc
     return tokens
 
 
@@ -422,7 +426,7 @@ def annotate(
                     [t.surface for t in sentence])) == wanted:
                 return sentence
         raise AnnotationError(
-            f"no sentence in {conllu_path} matches the CQ text {text!r}"
+            f"{conllu_path}: no sentence matches the CQ text {text!r}"
         )
     raise AnnotationError(f"unknown annotation source {source!r}")
 

@@ -8,6 +8,7 @@ from typing import Optional
 from .corpus import Corpus
 from .correspondence import (
     BUILTIN_RULES,
+    DEFAULT_STOPLIST,
     DiscoveredSignal,
     MappingEdge,
     MappingSummary,
@@ -150,8 +151,6 @@ def discovery_for(
     bundle: AnalysisBundle, min_support: int = 2,
     stoplist: Optional[frozenset[str]] = None,
 ) -> list[DiscoveredSignal]:
-    from .correspondence import DEFAULT_STOPLIST
-
     return discover_signals(
         bundle.translated_rows(), min_support=min_support,
         stoplist=stoplist if stoplist is not None else DEFAULT_STOPLIST,

@@ -224,6 +224,8 @@ def test_markdown_cells_escape_pipes(tmp_path):
     ("--rules", "bad-skeleton.json"),
     ("--rules", "undeclared-prefix.json"),
     ("--rules", "string-matcher.json"),
+    ("--stoplist", "missing.txt"),
+    ("--stoplist", "."),
 ])
 @pytest.mark.parametrize("command", ["validate", "report"])
 def test_bad_flag_values_exit_1(tmp_path, capsys, command, flag, value):
@@ -249,3 +251,61 @@ def test_bad_flag_values_exit_1(tmp_path, capsys, command, flag, value):
         assert run(command, "--corpus", corpus, "--out", out, flag, value) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}")
     assert not out.exists()
+
+
+WHICH_PLANTS = [("Which", "PRON", 2), ("plants", "NOUN", 3), ("eat", "VERB", 0),
+                ("animals", "NOUN", 3), ("?", "PUNCT", 3)]
+
+
+def conllu(tokens):
+    return "".join(f"{i}\t{form}\t{form}\t{upos}\t_\t_\t{head}\tdep\t_\t_\n"
+                   for i, (form, upos, head) in enumerate(tokens, 1))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\tWhich\n", "line 1: expected 10 columns, got 2"),
+    (conllu([("Which", "PRON", 2), ("plants", "NOUN", 0)]),
+     "no sentence matches the CQ text 'Which plants eat animals?'"),
+    (conllu([(f, u, 0) for f, u, _ in WHICH_PLANTS[:3]] + WHICH_PLANTS[3:]),
+     "sentence at line 1: expected exactly one root, got 3"),
+    (conllu(WHICH_PLANTS[:3] + [("animals", "NOUN", 9), WHICH_PLANTS[4]]),
+     "line 4: HEAD 9 out of range"),
+], ids=["two-columns", "no-match", "three-roots", "head-out-of-range"])
+def test_conllu_errors_exit_1_naming_the_file(tmp_path, capsys, text, message):
+    corpus = write_corpus(tmp_path / "c.jsonl", [("q1", "ASK { ?x a ?y }")])
+    (tmp_path / "conllu").mkdir()
+    path = tmp_path / "conllu" / "q1.conllu"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("chunk", "--corpus", corpus, "--tagger", "conllu",
+               "--conllu-dir", path.parent, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layout, prefixes, message", [
+    ("jsonl", "{oops", "invalid JSON"),
+    ("jsonl", "[]", "expected an object mapping ontology names"),
+    ("jsonl", '{"AWO": ["awo"]}', "expected an object mapping ontology names"),
+    ("jsonl", '{"AWO": {"awo": 5}}', "namespace for prefix 'awo' is not an absolute IRI: 5"),
+    ("dataset_dir", '{"awo": 5}', "namespace for prefix 'awo' is not an absolute IRI: 5"),
+], ids=["not-json", "list", "table-not-object", "int-namespace",
+        "manifest-int-namespace"])
+def test_malformed_prefix_tables_exit_1(tmp_path, capsys, layout, prefixes, message):
+    if layout == "jsonl":
+        corpus = write_corpus(tmp_path / "c.jsonl", [("q1", "ASK { ?x a ?y }")])
+        table = tmp_path / "c.prefixes.json"
+        table.write_text(prefixes, encoding="utf-8")
+    else:
+        corpus = tmp_path / "dataset"
+        (corpus / "awo" / "questions").mkdir(parents=True)
+        (corpus / "awo" / "questions" / "q1.txt").write_text(
+            "Which plants eat animals?\n", encoding="utf-8")
+        table = corpus / "awo" / "manifest.json"
+        table.write_text(f'{{"ontology": "AWO", "prefixes": {prefixes}}}',
+                         encoding="utf-8")
+    assert run("validate", "--corpus", corpus, "--format", layout) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: ")
+    assert message in err

@@ -12,7 +12,7 @@ import pytest
 import cqowl.correspondence
 import cqowl.corpus
 import cqowl.pipeline
-from cqowl.cli import main
+from cqowl.cli import SUBCOMMANDS, main
 from cqowl.correspondence import SignalRule, mine_signals
 from cqowl.corpus import load_corpus
 from tests.conftest import CORPUS_PATH, REPO_ROOT
@@ -100,3 +100,21 @@ def test_report_is_byte_identical_to_golden(tmp_path):
                for p in sorted(tmp_path.iterdir())
                if p.name != "run_manifest.json"}
     assert digests == golden
+
+
+def test_subcommands_split_report_byte_identically(tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["files"]
+    steps = [c for c in SUBCOMMANDS if c not in ("validate", "report")]
+    assert len(steps) == 8
+    union = {}
+    for command in steps:
+        out = tmp_path / command
+        assert main([command, "--corpus", str(CORPUS_PATH), "--out", str(out),
+                     "--paper-calibration", "--emit", "csv,md"]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())
+                   if p.name != "run_manifest.json"}
+        assert written, command
+        assert not set(written) & set(union), command  # no file written twice
+        union.update(written)
+    assert union == golden
