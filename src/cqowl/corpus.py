@@ -144,6 +144,16 @@ def placeholder_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
+def read_text(path: Path) -> str:
+    """Read a UTF-8 input file; an unreadable one raises CorpusError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+    except OSError as exc:
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from exc
+
+
 _WORD_CHAR = re.compile(r"\w")
 
 
@@ -166,7 +176,7 @@ def default_prefix_tables() -> dict[str, dict[str, str]]:
 
 def _load_prefix_tables(path: Path) -> dict[str, dict[str, str]]:
     try:
-        tables = json.loads(path.read_text(encoding="utf-8"))
+        tables = json.loads(read_text(path))
     except ValueError as exc:
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     if not (isinstance(tables, dict)
@@ -192,6 +202,7 @@ _ALLOWED_FIELDS = {"id", "ontology", "cq", "query", "answers"}
 
 def load_jsonl(path: Path, prefix_tables: Optional[dict[str, dict[str, str]]] = None) -> Corpus:
     path = Path(path)
+    text = read_text(path)
     tables_path = path
     if prefix_tables is None:
         sidecar = path.with_suffix(".prefixes.json")
@@ -201,7 +212,7 @@ def load_jsonl(path: Path, prefix_tables: Optional[dict[str, dict[str, str]]] = 
             prefix_tables = default_prefix_tables()
     questions: list[CompetencyQuestion] = []
     names: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -280,7 +291,7 @@ def load_dataset_dir(root: Path) -> Corpus:
         if not manifest_path.exists():
             raise CorpusError(f"{onto_dir}: missing manifest.json")
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads(read_text(manifest_path))
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
         name = manifest.get("ontology")
@@ -298,12 +309,12 @@ def load_dataset_dir(root: Path) -> Corpus:
             raise CorpusError(f"{onto_dir}: missing questions/ directory")
         for qfile in sorted(qdir.glob("*.txt")):
             cq_id = qfile.stem
-            raw = qfile.read_text(encoding="utf-8")
+            raw = read_text(qfile)
             text = raw.strip()
             first_line = raw[:raw.find(text)].count("\n") + 1
             _require_word(text, f"{qfile}:{first_line}")
             query_file = onto_dir / "queries" / f"{cq_id}.rq"
-            query = query_file.read_text(encoding="utf-8") if query_file.exists() else None
+            query = read_text(query_file) if query_file.exists() else None
             try:
                 spans = placeholder_spans(text)
             except CorpusError as exc:

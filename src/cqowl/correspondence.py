@@ -13,17 +13,13 @@ witness anything about query structure.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .patterns import Pattern
+from .patterns import Pattern, cq_words, slot_kind
 from .queryparse import QueryAst, keyword_presence, parse_query
 from .signatures import CanonicalizationLimitExceeded, canonicalize
-
-_SLOT_RE = re.compile(r"^(EC|PC)\d+$")
-
 
 # ---------------------------------------------------------------------------
 # Mapping
@@ -142,26 +138,10 @@ class SignalRow:
         return f"{self.numerator}/{self.denominator} ({pct:.1f}%)"
 
 
-def _strip_token(token: str) -> str:
-    return token.strip("?.,!\"';:")
-
-
-def _first_word(text: str) -> str:
-    for token in text.split():
-        token = _strip_token(token)
-        if token:
-            return token.lower()
-    return ""
-
-
-def _contains_word(text: str, word: str) -> bool:
-    return any(_strip_token(t).lower() == word.lower() for t in text.split())
-
-
 def _wildcard_token_match(pattern_token: str, token: str) -> bool:
     for alternative in pattern_token.split("/"):
         if alternative in ("EC", "PC"):
-            if _SLOT_RE.match(token) and token.startswith(alternative):
+            if slot_kind(token) == alternative:
                 return True
         elif alternative.upper() == "NUM" and token == "NUM":
             return True
@@ -184,9 +164,10 @@ def phrase_matches(phrase_tokens: Sequence[str], pattern_text: str) -> bool:
 
 def rule_matches(rule: SignalRule, raw_text: str, pattern_text: str) -> bool:
     if rule.matcher_kind == "initial_word_class":
-        return _first_word(raw_text) in {w.lower() for w in rule.matcher_value}
+        words = cq_words(raw_text)
+        return bool(words) and words[0] in {w.lower() for w in rule.matcher_value}
     if rule.matcher_kind == "contains_word":
-        return _contains_word(raw_text, rule.matcher_value[0])
+        return rule.matcher_value[0].lower() in cq_words(raw_text)
     if rule.matcher_kind == "contains_phrase":
         return phrase_matches(rule.matcher_value, pattern_text)
     raise ValueError(f"unknown matcher kind {rule.matcher_kind!r}")
@@ -386,13 +367,6 @@ class DiscoveredSignal:
         return self.subgroup_size / self.group_size if self.group_size else 0.0
 
 
-def _wildcard_slots(text: str) -> list[str]:
-    return [
-        _SLOT_RE.match(t).group(1) if _SLOT_RE.match(t) else t
-        for t in text.split()
-    ]
-
-
 def discover_signals(
     translated: Sequence[tuple[str, str, str, QueryAst, Optional[str]]],
     min_support: int = 2,
@@ -415,7 +389,7 @@ def discover_signals(
         if skeleton is None:
             continue
         skeleton_of[cq_id] = skeleton
-        tokens = _wildcard_slots(pattern_text)
+        tokens = [slot_kind(t) or t for t in pattern_text.split()]
         grams = set()
         for n in range(1, max_n + 1):
             for i in range(len(tokens) - n + 1):
@@ -425,9 +399,8 @@ def discover_signals(
 
     results = []
     for gram, members in occurrences.items():
-        if all(t.lower() in stoplist for t in gram if t not in ("EC", "PC", "NUM")):
-            if not any(t in ("EC", "PC", "NUM") for t in gram):
-                continue
+        if all(t not in ("EC", "PC", "NUM") and t.lower() in stoplist for t in gram):
+            continue
         if len(members) < min_support:
             continue
         by_skeleton: dict[str, int] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import CorpusError, placeholder_spans
+from .corpus import CorpusError, placeholder_spans, read_text
 
 POS_TAGS = {
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "DET", "ADP", "PRON", "ADV",
@@ -170,8 +170,11 @@ EC_NOUN_STOPLIST = {
 _VERB_SUFFIXES = ("ed",)
 
 
-def _is_number(word: str) -> bool:
-    return bool(re.fullmatch(r"[0-9]+(?:\.[0-9]+)?", word)) or word.lower() in NUMBER_WORDS
+_NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def is_number(word: str) -> bool:
+    return word.lower() in NUMBER_WORDS or bool(_NUMERAL.fullmatch(word))
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,21 @@ def _split_word(word: str) -> list[str]:
 # Built-in tagger
 
 
+# word -> tag in the tagger's precedence order; the lexicons are pairwise
+# disjoint, so each word has exactly one entry
+_LEXICON_TAGS: dict[str, str] = {}
+for _words, _tag in (
+    (WH_PRON, "PRON"), (WH_ADV, "ADV"),
+    (AUX_VERBS, "VERB"),  # refined to AUX in builtin_annotate when linkable
+    ({"to"}, "PART"), (DETERMINERS, "DET"), (PRONOUNS, "PRON"),
+    (ADPOSITIONS, "ADP"), (CCONJ, "CCONJ"), (SCONJ, "SCONJ"), (ADVERBS, "ADV"),
+    (NUMBER_WORDS, "NUM"), (ADJECTIVES, "ADJ"), (NOUN_EXCEPTIONS, "NOUN"),
+    (CONTENT_VERBS, "VERB"),
+):
+    for _word in _words:
+        _LEXICON_TAGS.setdefault(_word, _tag)
+
+
 def _tag_tokens(raw: Sequence[_RawToken]) -> list[str]:
     tags: list[str] = []
     lowers = [t.surface.lower() for t in raw]
@@ -239,34 +257,10 @@ def _tag_tokens(raw: Sequence[_RawToken]) -> list[str]:
             tags.append("NOUN")
         elif re.fullmatch(r"[?!.,;:]+", word):
             tags.append("PUNCT")
-        elif lower in WH_PRON:
-            tags.append("PRON")
-        elif lower in WH_ADV:
-            tags.append("ADV")
-        elif lower in AUX_VERBS:
-            tags.append("VERB")  # refined to AUX below when linkable
-        elif lower == "to":
-            tags.append("PART")
-        elif lower in DETERMINERS:
-            tags.append("DET")
-        elif lower in PRONOUNS:
-            tags.append("PRON")
-        elif lower in ADPOSITIONS:
-            tags.append("ADP")
-        elif lower in CCONJ:
-            tags.append("CCONJ")
-        elif lower in SCONJ:
-            tags.append("SCONJ")
-        elif lower in ADVERBS:
-            tags.append("ADV")
-        elif _is_number(lower):
+        elif lower in _LEXICON_TAGS:
+            tags.append(_LEXICON_TAGS[lower])
+        elif is_number(lower):
             tags.append("NUM")
-        elif lower in ADJECTIVES:
-            tags.append("ADJ")
-        elif lower in NOUN_EXCEPTIONS:
-            tags.append("NOUN")
-        elif lower in CONTENT_VERBS:
-            tags.append("VERB")
         elif lower.endswith(_VERB_SUFFIXES) and len(lower) > 4:
             tags.append("VERB")
         elif word[0].isupper() and i > 0:
@@ -283,8 +277,8 @@ def _tag_tokens(raw: Sequence[_RawToken]) -> list[str]:
     return tags
 
 
-def _is_content_verb(raw: _RawToken, tag: str) -> bool:
-    return tag == "VERB" and raw.surface.lower() not in AUX_VERBS
+def _is_content_verb(word: str, tag: str) -> bool:
+    return tag == "VERB" and word.lower() not in AUX_VERBS
 
 
 _AUX_SCAN_STOP = {"SCONJ", "CCONJ", "PUNCT", "ADP"}
@@ -311,13 +305,13 @@ def builtin_annotate(text: str) -> list[TokenAnnotation]:
             for j in range(i + 1, len(raw)):
                 if tags[j] in _AUX_SCAN_STOP:
                     break
-                if _is_content_verb(raw[j], tags[j]):
+                if _is_content_verb(raw[j].surface, tags[j]):
                     aux_link[i] = j
                     tags[i] = "AUX"
                     break
 
     root = next((i for i, t in enumerate(raw)
-                 if _is_content_verb(t, tags[i])), None)
+                 if _is_content_verb(t.surface, tags[i])), None)
     if root is None:
         root = next((i for i, t in enumerate(tags) if t == "VERB"), 0)
 
@@ -329,7 +323,7 @@ def builtin_annotate(text: str) -> list[TokenAnnotation]:
         heads[aux] = verb
         deprels[aux] = "aux"
     for i, t in enumerate(raw):
-        if tags[i] == "ADP" and i > 0 and _is_content_verb(raw[i - 1], tags[i - 1]):
+        if tags[i] == "ADP" and i > 0 and _is_content_verb(raw[i - 1].surface, tags[i - 1]):
             heads[i] = i - 1
             deprels[i] = "prep"
         elif tags[i] == "ADP":
@@ -353,8 +347,11 @@ def read_conllu(path: Path) -> list[list[TokenAnnotation]]:
     """Read a 10-column CoNLL-U file into sentences of annotations."""
     sentences: list[list[TokenAnnotation]] = []
     current: list[tuple[str, str, int, str]] = []
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        lines = read_text(Path(path)).splitlines()
+    except CorpusError as exc:
+        raise AnnotationError(str(exc)) from exc
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip("\n")
         if not line.strip():
             if current:
@@ -412,8 +409,6 @@ def annotate(
     conllu_path: Optional[Path] = None,
 ) -> list[TokenAnnotation]:
     """Annotate CQ text with the builtin tagger or a matching CoNLL-U file."""
-    if not text or not text.strip():
-        raise AnnotationError("empty CQ text")
     if source == "builtin":
         return builtin_annotate(text)
     if source == "conllu":
@@ -486,7 +481,7 @@ def identify_chunks(tokens: Sequence[TokenAnnotation]) -> list[Chunk]:
     i = 0
     while i < n:
         tok = tokens[i]
-        if tok.pos == "VERB" and tok.surface.lower() not in AUX_VERBS:
+        if _is_content_verb(tok.surface, tok.pos):
             start = i
             if i > 0 and tokens[i - 1].pos == "AUX" and tokens[i - 1].head == i:
                 start = i - 1

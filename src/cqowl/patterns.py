@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .linguistics import NUMBER_WORDS
+from .linguistics import is_number
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,18 @@ def canonical_text(text: str) -> str:
     if not text:
         return text
     return text[0].upper() + text[1:]
+
+
+def slot_kind(token: str) -> Optional[str]:
+    """``"EC"`` or ``"PC"`` for a numbered chunk slot such as ``EC3``, else None."""
+    kind = token[:2]
+    return kind if kind in ("EC", "PC") and token[2:].isdecimal() else None
+
+
+def cq_words(text: str) -> list[str]:
+    """The lowercased words of CQ or pattern text, edge punctuation stripped."""
+    words = (t.strip("?.,!\"';:").lower() for t in text.split())
+    return [w for w in words if w]
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +131,8 @@ def filter_candidates(
 # ---------------------------------------------------------------------------
 # Higher-level normalization
 
-# word rewrites applied in this order, each sweeping left-to-right; matching
-# is case-insensitive and the sentence-initial capital survives rewriting
+# word rewrites; at each position the first rule in this order that matches
+# there (case-insensitively) fires, and the sentence-initial capital survives
 _WORD_REWRITES: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
     (("are",), ("is",)),
     (("any",), ()),
@@ -132,50 +144,47 @@ _WORD_REWRITES: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
     (("which", "kind"), ("what", "kind")),
     (("will",), ("is",)),
     (("possible",), ()),
-    (("are", "there"), ()),
 )
+_REWRITES_BY_FIRST_WORD: dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
+for _rule in _WORD_REWRITES:
+    _REWRITES_BY_FIRST_WORD.setdefault(_rule[0][0], []).append(_rule)
 
-_EC_SLOT = re.compile(r"EC\d+$")
-_PC_SLOT = re.compile(r"PC\d+$")
 _MERGE_PREPOSITIONS = {"for", "of", "in", "with", "from"}
 
 
 def _rewrite_words(tokens: list[str]) -> list[str]:
-    for pattern_words, replacement in _WORD_REWRITES:
-        out: list[str] = []
-        i = 0
-        while i < len(tokens):
-            window = tokens[i:i + len(pattern_words)]
-            if len(window) == len(pattern_words) and all(
-                w.lower() == p for w, p in zip(window, pattern_words)
-            ):
+    lowers = [t.lower() for t in tokens]
+    out: list[str] = []
+    i = 0
+    while i < len(tokens):
+        for words, replacement in _REWRITES_BY_FIRST_WORD.get(lowers[i], ()):
+            if tuple(lowers[i:i + len(words)]) == words:
                 out.extend(replacement)
-                i += len(pattern_words)
-            else:
-                out.append(tokens[i])
-                i += 1
-        tokens = out
-    # sentence-initial "Which" becomes "What" (after the word table, so that
+                i += len(words)
+                break
+        else:
+            out.append(tokens[i])
+            i += 1
+    # sentence-initial "Which" becomes "What" (after the word rules, so that
     # "which of"/"which kind" firings are not masked)
-    if tokens and tokens[0].lower() == "which":
-        tokens[0] = "What"
-    return tokens
+    if out and out[0].lower() == "which":
+        out[0] = "What"
+    return out
 
 
 def _merge_ec_chains(tokens: list[str]) -> list[str]:
-    out = list(tokens)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 2):
-            if (
-                _EC_SLOT.match(out[i])
-                and out[i + 1].lower() in _MERGE_PREPOSITIONS
-                and _EC_SLOT.match(out[i + 2])
-            ):
-                out = out[: i + 1] + out[i + 3:]
-                changed = True
-                break
+    # "EC prep EC" keeps its first EC; a merge cannot create a match to its
+    # left, so one left-to-right pass finds every chain
+    out: list[str] = []
+    i = 0
+    while i < len(tokens):
+        if (out and slot_kind(out[-1]) == "EC" and i + 1 < len(tokens)
+                and tokens[i].lower() in _MERGE_PREPOSITIONS
+                and slot_kind(tokens[i + 1]) == "EC"):
+            i += 2
+        else:
+            out.append(tokens[i])
+            i += 1
     return out
 
 
@@ -184,7 +193,7 @@ def _recompact_ordinals(tokens: list[str]) -> list[str]:
     counters = {"EC": 0, "PC": 0}
     out = []
     for tok in tokens:
-        kind = "EC" if _EC_SLOT.match(tok) else "PC" if _PC_SLOT.match(tok) else None
+        kind = slot_kind(tok)
         if kind is None:
             out.append(tok)
             continue
@@ -343,10 +352,9 @@ def classify_cq(text: str) -> CqFeatures:
     as the NUM token).  These are heuristics; borderline wording can diverge
     from a human judgment and reports should be read accordingly.
     """
-    if not text.strip():
-        raise ValueError("empty CQ text")
-    tokens = [t.strip("?.,!\"").lower() for t in text.split()]
-    tokens = [t for t in tokens if t]
+    tokens = cq_words(text)
+    if not tokens:
+        raise ValueError("no words in CQ text")
     lower = " ".join(tokens)
     first = tokens[0]
 
@@ -365,9 +373,7 @@ def classify_cq(text: str) -> CqFeatures:
         polarity = "Positive"
 
     modifier = "None"
-    has_num = any(
-        t == "num" or t.isdigit() or t in NUMBER_WORDS for t in tokens
-    )
+    has_num = any(t == "num" or is_number(t) for t in tokens)
     superlative = "best" in tokens or any(
         t.endswith("est") and len(t) > 4 and t not in _SUPERLATIVE_BLOCK
         for t in tokens

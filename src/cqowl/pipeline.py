@@ -55,15 +55,12 @@ class AnalysisBundle:
 
     @cached_property
     def sentences(self) -> dict[str, AnnotatedSentence]:
-        sentences = {}
-        for q in self.corpus.questions:
-            if self.tagger == "conllu":
-                path = Path(self.conllu_dir or ".") / f"{q.id}.conllu"
-                sentences[q.id] = annotate_sentence(
-                    q.id, q.text, source="conllu", conllu_path=path)
-            else:
-                sentences[q.id] = annotate_sentence(q.id, q.text, source="builtin")
-        return sentences
+        conllu_dir = Path(self.conllu_dir or ".")
+        return {
+            q.id: annotate_sentence(q.id, q.text, source=self.tagger,
+                                    conllu_path=conllu_dir / f"{q.id}.conllu")
+            for q in self.corpus.questions
+        }
 
     @cached_property
     def candidates(self) -> list[CandidateRecord]:

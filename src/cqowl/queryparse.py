@@ -279,6 +279,8 @@ class QueryAst:
     projection: TUnion[str, tuple[Variable, ...], None]  # STAR, vars, or None for ASK
     where: Group
     prefix_table: tuple[tuple[str, str], ...] = field(default=())
+    # the query's own PREFIX declarations, in order; serialization writes them
+    declared_prefixes: tuple[tuple[str, str], ...] = field(default=())
 
     def prefixes(self) -> dict[str, str]:
         return dict(self.prefix_table)
@@ -364,6 +366,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.prefixes = dict(prefixes)
+        self.declared: dict[str, str] = {}
         self.anon_counter = 0
 
     # token helpers --------------------------------------------------------
@@ -412,7 +415,7 @@ class _Parser:
             if iri_tok.kind != "IRIREF":
                 raise self.error("expected namespace IRI in PREFIX declaration")
             self.next()
-            self.prefixes[label] = iri_tok.value[1:-1]
+            self.prefixes[label] = self.declared[label] = iri_tok.value[1:-1]
 
         if not (self.at_kw("SELECT") or self.at_kw("ASK")):
             raise self.error("expected SELECT or ASK")
@@ -430,7 +433,8 @@ class _Parser:
         if self.peek().kind != "EOF":
             raise self.error("unexpected trailing content")
         return QueryAst(verb, distinct, projection, where,
-                        tuple(sorted(self.prefixes.items())))
+                        tuple(sorted(self.prefixes.items())),
+                        tuple(self.declared.items()))
 
     def _parse_prefix_label(self) -> str:
         tok = self.peek()
@@ -737,8 +741,12 @@ def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAs
 
 
 def serialize_query(ast: QueryAst) -> str:
-    """Pretty-print an AST; ``parse(serialize(ast))`` is structurally equal."""
-    lines: list[str] = []
+    """Pretty-print an AST; ``parse(serialize(ast))`` is structurally equal.
+
+    The query's own PREFIX declarations are written; prefixes it took from
+    an external table must be passed to the parse again.
+    """
+    lines = [f"PREFIX {label}: <{iri}>" for label, iri in ast.declared_prefixes]
     if ast.verb == "SELECT":
         head = "SELECT"
         if ast.distinct:

@@ -270,12 +270,20 @@ def conllu(tokens):
      "sentence at line 1: expected exactly one root, got 3"),
     (conllu(WHICH_PLANTS[:3] + [("animals", "NOUN", 9), WHICH_PLANTS[4]]),
      "line 4: HEAD 9 out of range"),
-], ids=["two-columns", "no-match", "three-roots", "head-out-of-range"])
+    (None, "Is a directory"),
+    (b"1\tWh\xffich\n", "byte 4: not UTF-8 (invalid start byte)"),
+], ids=["two-columns", "no-match", "three-roots", "head-out-of-range",
+        "directory", "not-utf8"])
 def test_conllu_errors_exit_1_naming_the_file(tmp_path, capsys, text, message):
     corpus = write_corpus(tmp_path / "c.jsonl", [("q1", "ASK { ?x a ?y }")])
     (tmp_path / "conllu").mkdir()
     path = tmp_path / "conllu" / "q1.conllu"
-    path.write_text(text, encoding="utf-8")
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert run("chunk", "--corpus", corpus, "--tagger", "conllu",
                "--conllu-dir", path.parent, "--out", out) == 1
@@ -309,3 +317,33 @@ def test_malformed_prefix_tables_exit_1(tmp_path, capsys, layout, prefixes, mess
     err = capsys.readouterr().err
     assert err.startswith(f"error: {table}: ")
     assert message in err
+
+
+NOT_UTF8 = "byte 0: not UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize("layout, bad, content, message", [
+    ("jsonl", "c.jsonl", b"\xff{}\n", NOT_UTF8),
+    ("dataset_dir", "dataset/awo/questions/q1.txt", b"\xffWhich plants?\n", NOT_UTF8),
+    ("dataset_dir", "dataset/awo/queries/q1.rq", b"\xffASK { ?x a ?y }\n", NOT_UTF8),
+    ("dataset_dir", "dataset/awo/manifest.json", b'\xff{"ontology": "AWO"}', NOT_UTF8),
+    ("jsonl", ".", None, "Is a directory"),
+    ("jsonl", "dataset", None, "Is a directory"),
+], ids=["jsonl-not-utf8", "question-not-utf8", "query-not-utf8",
+        "manifest-not-utf8", "corpus-dot", "directory-as-jsonl"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_unreadable_corpus_exit_1_naming_the_file(tmp_path, capsys, monkeypatch, command,
+                                                  layout, bad, content, message):
+    monkeypatch.chdir(tmp_path)
+    onto = tmp_path / "dataset" / "awo"
+    (onto / "questions").mkdir(parents=True)
+    (onto / "queries").mkdir()
+    (onto / "manifest.json").write_text('{"ontology": "AWO"}', encoding="utf-8")
+    (onto / "questions" / "q1.txt").write_text("Which plants?\n", encoding="utf-8")
+    (onto / "queries" / "q1.rq").write_text("ASK { ?x a ?y }\n", encoding="utf-8")
+    if content is not None:
+        (tmp_path / bad).write_bytes(content)
+    corpus = bad if layout == "jsonl" else "dataset"
+    assert run(command, "--corpus", corpus, "--format", layout, "--out", "out") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "out").exists()

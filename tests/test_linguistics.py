@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from cqowl import linguistics
 from cqowl.linguistics import (
     AnnotationError,
     annotate,
@@ -37,6 +40,17 @@ def test_tokenizer_rejects_nested_or_unbalanced_brackets():
         tokenize("What is [a [nested] thing]?")
     with pytest.raises(AnnotationError):
         tokenize("What is [unclosed?")
+
+
+def test_tagger_lexicons_are_pairwise_disjoint():
+    # each word has one lexicon tag, whatever order the table lists them in
+    lexicons = {name: getattr(linguistics, name) for name in (
+        "WH_PRON", "WH_ADV", "AUX_VERBS", "DETERMINERS", "PRONOUNS",
+        "ADPOSITIONS", "CCONJ", "SCONJ", "ADVERBS", "NUMBER_WORDS",
+        "ADJECTIVES", "NOUN_EXCEPTIONS", "CONTENT_VERBS")}
+    lexicons["to"] = {"to"}
+    for (a, words_a), (b, words_b) in itertools.combinations(lexicons.items(), 2):
+        assert not words_a & words_b, (a, b, words_a & words_b)
 
 
 def test_annotate_empty_is_an_error():

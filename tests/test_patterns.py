@@ -135,6 +135,12 @@ def test_filter_monotonicity_under_corpus_growth():
     ("Which EC1 PC1 EC2", "What EC1 PC1 EC2"),
     ("What EC1 does EC2 have", "What EC1 do EC2 have"),
     ("Will EC1 PC1 EC2", "Is EC1 PC1 EC2"),
+    # one rewrite pass: at the sentence start "any" is dropped after the
+    # "which of" rule has passed over the position, and the initial
+    # "Which" -> "What" step comes before "which kind" can see KIND
+    ("Which any of EC1 are EC2", "What of EC1 is EC2"),
+    ("Which of KIND of EC1 are EC2", "What KIND of EC1 is EC2"),
+    ("Which any KIND of EC1 are EC2", "What KIND of EC1 is EC2"),
 ])
 def test_normalization_rules(source, expected):
     assert normalize_text(source) == expected
@@ -238,6 +244,14 @@ def test_avg_cqs_per_pattern_division_guard():
      CqFeatures("Selection", "Positive", "Difference", frozenset())),
     ("To what extent does EC RC EC?",
      CqFeatures("Selection", "Positive", "Extent", frozenset())),
+    # ";", ":" and "'" are stripped from word edges like "?" and ","
+    ("Which EC is best;", CqFeatures("Selection", "Positive", "Superlative",
+                                     frozenset())),
+    ("Who: EC RC EC?", CqFeatures("Selection", "Positive", "None",
+                                  frozenset({"Person"}))),
+    ("Is EC RC 'never'?", CqFeatures("Binary", "Negative", "None", frozenset())),
+    ("Which EC RC 3.5 EC?", CqFeatures("Selection", "Positive", "Numeric",
+                                       frozenset())),
 ])
 def test_classify_rows(text, expected):
     assert classify_cq(text) == expected

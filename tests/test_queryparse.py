@@ -189,3 +189,15 @@ def test_labeled_blank_nodes():
     q = "SELECT ?x WHERE { ?x rdfs:subClassOf _:b2 . _:b2 owl:onProperty ?p . }"
     ast = parse_query(q, PREFIXES)
     assert parse_query(serialize_query(ast), PREFIXES) == ast
+
+
+def test_serialization_keeps_declared_prefixes():
+    q = ("PREFIX ex: <http://example.org/ns#>\n"
+         "PREFIX : <http://example.org/default#>\n"
+         "SELECT ?x WHERE { ?x rdfs:subClassOf ex:C . ?x :p ?y }")
+    ast = parse_query(q)
+    text = serialize_query(ast)
+    assert text.startswith("PREFIX ex: <http://example.org/ns#>\n"
+                           "PREFIX : <http://example.org/default#>\n")
+    assert parse_query(text) == ast
+    assert serialize_query(parse_query(text)) == text

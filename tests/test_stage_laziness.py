@@ -4,7 +4,9 @@ byte-identical to the recorded golden hashes."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -118,3 +120,21 @@ def test_subcommands_split_report_byte_identically(tmp_path):
         assert not set(written) & set(union), command  # no file written twice
         union.update(written)
     assert union == golden
+
+
+def test_every_traced_site_resolves(monkeypatch):
+    """The benchmark's tracer wraps the module attributes listed in
+    ``perfbench/spans.py``; moving one of them must fail here, and not only
+    in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REPO_ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    missing = []
+    for owner, attr, *_ in spans.SITES:
+        try:
+            getattr(spans._resolve(owner), attr)
+        except (ImportError, AttributeError):
+            missing.append(f"{owner}.{attr}")
+    assert spans.SITES and missing == []
