@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__, reference
@@ -117,6 +116,8 @@ def _check_flags(args) -> list[str]:
     contents of those files.
     """
     formats = [f.strip() for f in args.emit.split(",") if f.strip()]
+    if not formats:
+        raise FlagError(f"--emit: no format in {args.emit!r}, expected csv or md")
     for fmt in formats:
         if fmt not in ("csv", "md"):
             raise FlagError(f"--emit: unknown format {fmt!r}, expected csv or md")
@@ -187,8 +188,8 @@ def _cmd_patterns(bundle: AnalysisBundle, emit, args) -> None:
     order = bundle.corpus.ontology_names()
     rows = coverage_stats(bundle.candidates, bundle.patterns, bundle.higher,
                           ontology_order=order)
-    emit("pattern_coverage", [f.name for f in fields(CoverageRow)],
-         map(astuple, rows))
+    emit("pattern_coverage", list(CoverageRow._fields),
+         (r._astuple() for r in rows))
 
     for level, inventory in (("pattern", bundle.patterns),
                              ("higher", bundle.higher)):
@@ -245,7 +246,7 @@ def _cmd_parse(bundle: AnalysisBundle, emit, args) -> None:
 
     rows, errors = translatability_report(bundle.corpus)
     emit("translatability", ["ontology", "cq_count", "translated"],
-         map(astuple, rows))
+         (r._astuple() for r in rows))
     if errors:
         emit("untranslatable_queries", ["cq_id", "error"], errors)
     if args.paper_calibration:

@@ -17,21 +17,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .queryparse import QueryAst, QueryParseError, parse_query
+from .records import Record
 
 
 class CorpusError(ValueError):
     """Structural problem in a corpus file; message carries file/line/field."""
 
 
-@dataclass(frozen=True)
-class OntologyId:
+class OntologyId(Record):
     short_name: str
     prefix_table: tuple[tuple[str, str], ...] = ()
 
@@ -50,8 +48,7 @@ class OntologyId:
         return dict(self.prefix_table)
 
 
-@dataclass(frozen=True)
-class CompetencyQuestion:
+class CompetencyQuestion(Record):
     id: str
     ontology: str
     text: str
@@ -64,20 +61,18 @@ class CompetencyQuestion:
         return bool(self.placeholders)
 
 
-@dataclass
-class Corpus:
+class Corpus(Record, frozen=False):
     ontologies: list[OntologyId]
     questions: list[CompetencyQuestion]
-    _by_id: dict[str, CompetencyQuestion] = field(default_factory=dict, repr=False)
-    _onto_by_name: dict[str, OntologyId] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._onto_by_name = {}
+        # indexes derived from the two fields, so they are not fields
+        self._onto_by_name: dict[str, OntologyId] = {}
         for onto in self.ontologies:
             if onto.short_name in self._onto_by_name:
                 raise CorpusError(f"duplicate ontology {onto.short_name!r}")
             self._onto_by_name[onto.short_name] = onto
-        self._by_id = {}
+        self._by_id: dict[str, CompetencyQuestion] = {}
         for q in self.questions:
             if q.id in self._by_id:
                 raise CorpusError(f"duplicate CQ id {q.id!r}")
@@ -170,6 +165,10 @@ def _require_word(cq_text: str, where: str) -> None:
 
 def default_prefix_tables() -> dict[str, dict[str, str]]:
     """Built-in prefix tables for the ontologies of the published corpus."""
+    # imported here because from Python 3.12 on it loads ``inspect``, which
+    # importing cqowl should not pay for
+    from importlib import resources
+
     data = resources.files("cqowl").joinpath("data/default_prefixes.json")
     return json.loads(data.read_text(encoding="utf-8"))
 
@@ -337,8 +336,7 @@ def load_corpus(path: Path, format: str = "jsonl") -> Corpus:
 # Translatability
 
 
-@dataclass(frozen=True)
-class TranslatabilityRow:
+class TranslatabilityRow(Record):
     ontology: str
     cq_count: int
     translated_count: int

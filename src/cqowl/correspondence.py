@@ -13,28 +13,26 @@ witness anything about query structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .patterns import Pattern, cq_words, slot_kind
 from .queryparse import QueryAst, keyword_presence, parse_query
+from .records import Record
 from .signatures import CanonicalizationLimitExceeded, canonicalize
 
 # ---------------------------------------------------------------------------
 # Mapping
 
 
-@dataclass(frozen=True)
-class MappingEdge:
+class MappingEdge(Record):
     pattern_text: str
     pattern_level: str
     signature_skeleton: str
     witness_cq_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MappingSummary:
+class MappingSummary(Record):
     edges: int
     patterns_with_multiple_signatures: int
     signatures_with_multiple_patterns: int
@@ -90,8 +88,7 @@ _MATCHER_KINDS = ("initial_word_class", "contains_word", "contains_phrase")
 _TARGET_KINDS = ("verb", "keyword", "skeleton")
 
 
-@dataclass(frozen=True)
-class SignalRule:
+class SignalRule(Record):
     """A surface cue paired with an expected query feature.
 
     ``matcher_kind``: ``initial_word_class`` (raw text, first word in the
@@ -123,8 +120,7 @@ class SignalRule:
         return self.target_value
 
 
-@dataclass(frozen=True)
-class SignalRow:
+class SignalRow(Record):
     rule_id: str
     signal: str
     target: str
@@ -355,8 +351,7 @@ DEFAULT_STOPLIST = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class DiscoveredSignal:
+class DiscoveredSignal(Record):
     ngram: tuple[str, ...]
     group_size: int
     subgroup_size: int

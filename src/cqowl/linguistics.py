@@ -13,11 +13,11 @@ a full NLP pipeline, which is the higher-fidelity path.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .corpus import CorpusError, placeholder_spans, read_text
+from .records import Record
 
 POS_TAGS = {
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "DET", "ADP", "PRON", "ADV",
@@ -29,8 +29,7 @@ class AnnotationError(ValueError):
     """Raised for empty input, bad CoNLL-U data, or mismatched text."""
 
 
-@dataclass(frozen=True)
-class TokenAnnotation:
+class TokenAnnotation(Record):
     index: int
     surface: str
     pos: str
@@ -39,8 +38,7 @@ class TokenAnnotation:
     is_placeholder: bool = False
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(Record):
     kind: str  # "EC" or "PC"
     spans: tuple[tuple[int, int], ...]  # half-open token ranges
     ordinal: int
@@ -51,8 +49,7 @@ class Chunk:
         return f"{self.kind}{self.ordinal}"
 
 
-@dataclass(frozen=True)
-class AnnotatedSentence:
+class AnnotatedSentence(Record):
     cq_id: str
     tokens: tuple[TokenAnnotation, ...]
     chunks: tuple[Chunk, ...]
@@ -177,10 +174,14 @@ def is_number(word: str) -> bool:
     return word.lower() in NUMBER_WORDS or bool(_NUMERAL.fullmatch(word))
 
 
-@dataclass(frozen=True)
 class _RawToken:
-    surface: str
-    is_placeholder: bool
+    # internal and never compared, hashed or printed, so a plain class: an
+    # annotation pass builds one per word
+    __slots__ = ("surface", "is_placeholder")
+
+    def __init__(self, surface: str, is_placeholder: bool):
+        self.surface = surface
+        self.is_placeholder = is_placeholder
 
 
 def tokenize(text: str) -> list[_RawToken]:

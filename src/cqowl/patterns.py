@@ -10,14 +10,13 @@ preposition-joined entity chunks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .linguistics import is_number
+from .records import Factory, Record
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(Record):
     """One CQ's pattern candidate, ready for filtering."""
 
     cq_id: str
@@ -26,24 +25,21 @@ class CandidateRecord:
     text: str
 
 
-@dataclass
-class Pattern:
+class Pattern(Record, frozen=False):
     text: str
     level: str
-    support: list[str] = field(default_factory=list)
-    ontologies: set[str] = field(default_factory=set)
+    support: list[str] = Factory(list)
+    ontologies: set[str] = Factory(set)
 
 
-@dataclass(frozen=True)
-class RejectedCandidate:
+class RejectedCandidate(Record):
     cq_id: str
     ontology: str
     text: str
     reason: str
 
 
-@dataclass(frozen=True)
-class CqFeatures:
+class CqFeatures(Record):
     question_type: str  # Selection | Binary | Count
     polarity: str  # Positive | Negative | Both
     modifier: str  # None | Numeric | Superlative | Comparative | Difference | Extent
@@ -242,8 +238,7 @@ def higher_level_inventory(patterns: Sequence[Pattern]) -> list[Pattern]:
 # Tables
 
 
-@dataclass(frozen=True)
-class CoverageRow:
+class CoverageRow(Record):
     ontology: str
     candidates: int
     patterns: int

@@ -15,8 +15,9 @@ serialization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union as TUnion
+
+from .records import Record
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -48,16 +49,14 @@ class PrefixResolutionError(KeyError):
 # AST node types
 
 
-@dataclass(frozen=True)
-class Iri:
+class Iri(Record):
     value: str
 
     def __str__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
-class PrefixedName:
+class PrefixedName(Record):
     prefix: str
     local: str
 
@@ -65,16 +64,14 @@ class PrefixedName:
         return f"{self.prefix}:{self.local}"
 
 
-@dataclass(frozen=True)
-class BlankNodeLabel:
+class BlankNodeLabel(Record):
     label: str
 
     def __str__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True)
-class AnonBlank:
+class AnonBlank(Record):
     """A bare ``[]`` used as a term; ids are assigned in parse order."""
 
     anon_id: int
@@ -83,8 +80,7 @@ class AnonBlank:
         return "[]"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     name: str
     marker: str = "?"  # "?" question variable, "$" placeholder variable
 
@@ -92,8 +88,7 @@ class Variable:
         return f"{self.marker}{self.name}"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     lexical: str
     datatype: Optional["Term"] = None
     lang: Optional[str] = None
@@ -107,8 +102,7 @@ class Literal:
         return out
 
 
-@dataclass(frozen=True)
-class KeywordA:
+class KeywordA(Record):
     """The Turtle ``a`` abbreviation for rdf:type."""
 
     def __str__(self) -> str:
@@ -118,24 +112,21 @@ class KeywordA:
 Term = TUnion[Iri, PrefixedName, BlankNodeLabel, AnonBlank, Variable, Literal, KeywordA]
 
 
-@dataclass(frozen=True)
-class PathAtom:
+class PathAtom(Record):
     term: Term
 
     def __str__(self) -> str:
         return str(self.term)
 
 
-@dataclass(frozen=True)
-class PathZeroOrMore:
+class PathZeroOrMore(Record):
     inner: "PropertyPath"
 
     def __str__(self) -> str:
         return f"{self.inner}*"
 
 
-@dataclass(frozen=True)
-class PathSequence:
+class PathSequence(Record):
     parts: tuple["PropertyPath", ...]
 
     def __post_init__(self):
@@ -149,13 +140,11 @@ class PathSequence:
 PropertyPath = TUnion[PathAtom, PathZeroOrMore, PathSequence]
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(Record):
     items: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class BlankPropertyList:
+class BlankPropertyList(Record):
     """``[ p1 o1, o2 ; p2 o3 ]`` — predicate/object-list pairs."""
 
     pairs: tuple[tuple[TUnion[Term, PropertyPath], tuple["Node", ...]], ...]
@@ -164,8 +153,7 @@ class BlankPropertyList:
 Node = TUnion[Term, Collection, BlankPropertyList]
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(Record):
     """One subject/predicate with its full object list (``,`` kept intact)."""
 
     subject: Node
@@ -176,25 +164,21 @@ class TriplePattern:
 # Expressions -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Record):
     op: str  # "=" or "!="
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     parts: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     parts: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class In:
+class In(Record):
     needle: "Expr"
     options: tuple["Expr", ...]
 
@@ -203,26 +187,22 @@ class In:
             raise ValueError("IN list must be nonempty")
 
 
-@dataclass(frozen=True)
-class FnCall:
+class FnCall(Record):
     name: TUnion[str, Term]  # builtin name ("STRSTARTS", "now") or a cast term
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(Record):
     op: str  # "+" or "-"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class TermRef:
+class TermRef(Record):
     term: Term
 
 
-@dataclass(frozen=True)
-class Paren:
+class Paren(Record):
     inner: "Expr"
 
 
@@ -232,37 +212,31 @@ Expr = TUnion[Compare, And, Or, In, FnCall, Arith, TermRef, Paren]
 # Graph patterns ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bgp:
+class Bgp(Record):
     triples: tuple[TriplePattern, ...]
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     expr: Expr
 
 
-@dataclass(frozen=True)
-class NotExists:
+class NotExists(Record):
     """``FILTER NOT EXISTS { ... }`` modeled as its own pattern node."""
 
     pattern: "Group"
 
 
-@dataclass(frozen=True)
-class Bind:
+class Bind(Record):
     expr: Expr
     var: Variable
 
 
-@dataclass(frozen=True)
-class UnionPattern:
+class UnionPattern(Record):
     left: "Group"
     right: "Group"
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     items: tuple["GraphPattern", ...]
 
 
@@ -272,15 +246,14 @@ GraphPattern = TUnion[Bgp, Filter, NotExists, Bind, UnionPattern, Group]
 STAR = "*"
 
 
-@dataclass(frozen=True)
-class QueryAst:
+class QueryAst(Record):
     verb: str  # "SELECT" or "ASK"
     distinct: bool
     projection: TUnion[str, tuple[Variable, ...], None]  # STAR, vars, or None for ASK
     where: Group
-    prefix_table: tuple[tuple[str, str], ...] = field(default=())
+    prefix_table: tuple[tuple[str, str], ...] = ()
     # the query's own PREFIX declarations, in order; serialization writes them
-    declared_prefixes: tuple[tuple[str, str], ...] = field(default=())
+    declared_prefixes: tuple[tuple[str, str], ...] = ()
 
     def prefixes(self) -> dict[str, str]:
         return dict(self.prefix_table)
@@ -318,12 +291,16 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+    # never compared, hashed or printed, so a plain class: a parse builds
+    # one per token and this is the cheapest object to build
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -909,17 +886,17 @@ def resolve_term(term: Term, prefixes: dict[str, str]) -> Optional[str]:
 def _walk(node) -> Iterator:
     """Every AST node reachable from ``node``, itself included, in no fixed order.
 
-    Nodes are the dataclass instances of this module; tuples of them are
-    descended into and plain values (strings, flags, ``None``) are skipped.
+    Nodes are the records of this module; tuples of them are descended
+    into and plain values (strings, flags, ``None``) are skipped.
     """
     stack = [node]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
             stack.extend(item)
-        elif hasattr(item, "__dataclass_fields__"):
+        elif isinstance(item, Record):
             yield item
-            stack.extend(vars(item).values())
+            stack.extend(item._astuple())
 
 
 def keyword_presence(ast: QueryAst) -> set[str]:

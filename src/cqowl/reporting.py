@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .records import Factory, Record
 
-@dataclass
-class Table:
+
+class Table(Record, frozen=False):
     name: str
     columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    rows: list[list] = Factory(list)
 
     def add(self, *values) -> None:
         if len(values) != len(self.columns):

@@ -21,7 +21,6 @@ by shared slots (2-cycles) can still raise CanonicalizationLimitExceeded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -58,6 +57,7 @@ from .queryparse import (
     WELL_KNOWN_PREFIXES,
     resolve_term,
 )
+from .records import Record
 
 RESERVED_NAMESPACES = {ns: prefix for prefix, ns in WELL_KNOWN_PREFIXES.items()}
 
@@ -72,8 +72,7 @@ class CanonicalizationLimitExceeded(RuntimeError):
     """Query too large or too symmetric for exact canonicalization."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     verb: str
     distinct: bool
     skeleton: str
@@ -499,8 +498,7 @@ def render_in_source_order(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES
     return worker.render_query(ast)
 
 
-@dataclass
-class SignatureGroup:
+class SignatureGroup(Record, frozen=False):
     signature: Signature
     member_ids: list[str]
 

@@ -210,6 +210,8 @@ def test_markdown_cells_escape_pipes(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--emit", "csv,html"),
+    ("--emit", ""),
+    ("--emit", ","),
     ("--min-support", "1"),
     ("--max-triples", "0"),
     ("--max-triples", "-1"),

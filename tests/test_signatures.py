@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -251,7 +250,13 @@ def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
             return Filter(Paren(inner))
         return item
 
-    return replace(ast, where=Group(tuple(map_item(i) for i in ast.where.items)))
+    return _with_where(ast, Group(tuple(map_item(i) for i in ast.where.items)))
+
+
+def _with_where(ast: QueryAst, where: Group) -> QueryAst:
+    """``ast`` with its WHERE group replaced and every other field kept."""
+    fields = dict(zip(QueryAst._fields, ast._astuple()))
+    return QueryAst(**{**fields, "where": where})
 
 
 def test_invariance_1000_randomized_trials():
@@ -300,7 +305,7 @@ def _oracle_minimum(ast: QueryAst) -> str:
             for idx, filt in zip(filters, combo):
                 items[idx] = filt
             candidate = render_in_source_order(
-                replace(ast, where=Group(tuple(items))))
+                _with_where(ast, Group(tuple(items))))
             if best is None or candidate < best:
                 best = candidate
     return best
