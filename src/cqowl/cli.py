@@ -71,7 +71,12 @@ class FlagError(ValueError):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        if exc.code == 2:
+            return 1
+        raise
     try:
         return _dispatch(args)
     except (AnnotationError, CorpusError, FileNotFoundError, FlagError) as exc:

@@ -165,12 +165,7 @@ def _require_word(cq_text: str, where: str) -> None:
 
 def default_prefix_tables() -> dict[str, dict[str, str]]:
     """Built-in prefix tables for the ontologies of the published corpus."""
-    # imported here because from Python 3.12 on it loads ``inspect``, which
-    # importing cqowl should not pay for
-    from importlib import resources
-
-    data = resources.files("cqowl").joinpath("data/default_prefixes.json")
-    return json.loads(data.read_text(encoding="utf-8"))
+    return json.loads(read_text(Path(__file__).parent / "data" / "default_prefixes.json"))
 
 
 def _load_prefix_tables(path: Path) -> dict[str, dict[str, str]]:
@@ -199,16 +194,15 @@ def _ontology_from_tables(
 _ALLOWED_FIELDS = {"id", "ontology", "cq", "query", "answers"}
 
 
-def load_jsonl(path: Path, prefix_tables: Optional[dict[str, dict[str, str]]] = None) -> Corpus:
+def load_jsonl(path: Path) -> Corpus:
     path = Path(path)
     text = read_text(path)
     tables_path = path
-    if prefix_tables is None:
-        sidecar = path.with_suffix(".prefixes.json")
-        if sidecar.exists():
-            prefix_tables, tables_path = _load_prefix_tables(sidecar), sidecar
-        else:
-            prefix_tables = default_prefix_tables()
+    sidecar = path.with_suffix(".prefixes.json")
+    if sidecar.exists():
+        prefix_tables, tables_path = _load_prefix_tables(sidecar), sidecar
+    else:
+        prefix_tables = default_prefix_tables()
     questions: list[CompetencyQuestion] = []
     names: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):

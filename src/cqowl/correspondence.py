@@ -362,15 +362,17 @@ class DiscoveredSignal(Record):
         return self.subgroup_size / self.group_size if self.group_size else 0.0
 
 
+_MAX_N = 6  # longest n-gram that discovery counts
+
+
 def discover_signals(
     translated: Sequence[tuple[str, str, str, QueryAst, Optional[str]]],
     min_support: int = 2,
-    max_n: int = 6,
     stoplist: frozenset[str] = DEFAULT_STOPLIST,
 ) -> list[DiscoveredSignal]:
     """Enumerate shared n-grams over pattern-level text and rank candidates.
 
-    For each n-gram (1..max_n tokens, EC/PC ordinals wildcarded) the group
+    For each n-gram (1.._MAX_N tokens, EC/PC ordinals wildcarded) the group
     is every translated CQ whose pattern text contains it; the candidate's
     strength is the largest subgroup sharing one query skeleton.  N-grams
     made only of stoplist words are dropped: groups they form are
@@ -386,7 +388,7 @@ def discover_signals(
         skeleton_of[cq_id] = skeleton
         tokens = [slot_kind(t) or t for t in pattern_text.split()]
         grams = set()
-        for n in range(1, max_n + 1):
+        for n in range(1, _MAX_N + 1):
             for i in range(len(tokens) - n + 1):
                 grams.add(tuple(tokens[i:i + n]))
         for gram in grams:

@@ -323,11 +323,13 @@ def builtin_annotate(text: str) -> list[TokenAnnotation]:
     for aux, verb in aux_link.items():
         heads[aux] = verb
         deprels[aux] = "aux"
-    for i, t in enumerate(raw):
-        if tags[i] == "ADP" and i > 0 and _is_content_verb(raw[i - 1].surface, tags[i - 1]):
+    for i in range(len(raw)):
+        if tags[i] != "ADP" or i == root:  # a verbless CQ may be rooted at an ADP
+            continue
+        if i > 0 and _is_content_verb(raw[i - 1].surface, tags[i - 1]):
             heads[i] = i - 1
             deprels[i] = "prep"
-        elif tags[i] == "ADP":
+        else:
             nxt = next((j for j in range(i + 1, len(raw))
                         if tags[j] in ("NOUN", "PROPN", "NUM")), root)
             heads[i] = nxt

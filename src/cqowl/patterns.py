@@ -253,15 +253,12 @@ def coverage_stats(
     candidates: Sequence[CandidateRecord],
     patterns: Sequence[Pattern],
     higher: Sequence[Pattern],
-    ontology_order: Optional[Sequence[str]] = None,
+    ontology_order: Sequence[str],
 ) -> list[CoverageRow]:
     """Per-ontology pattern statistics plus a Total row."""
-    ontologies = list(ontology_order) if ontology_order else sorted(
-        {c.ontology for c in candidates}
-    )
     covered_ids = {cq_id for p in patterns for cq_id in p.support}
     rows = []
-    for onto in ontologies:
+    for onto in ontology_order:
         mine = [c for c in candidates if c.ontology == onto]
         covered = [c for c in mine if c.cq_id in covered_ids]
         distinct = sum(1 for p in patterns if onto in p.ontologies)
@@ -315,15 +312,12 @@ def cross_set_reuse(patterns: Sequence[Pattern]) -> list[tuple[str, frozenset[st
 def avg_cqs_per_pattern(
     candidates: Sequence[CandidateRecord],
     patterns: Sequence[Pattern],
-    ontology_order: Optional[Sequence[str]] = None,
+    ontology_order: Sequence[str],
 ) -> list[tuple[str, float]]:
     """CQs covered per distinct pattern, by ontology (0 when no patterns)."""
-    ontologies = list(ontology_order) if ontology_order else sorted(
-        {c.ontology for c in candidates}
-    )
     home = {c.cq_id: c.ontology for c in candidates}
     out = []
-    for onto in ontologies:
+    for onto in ontology_order:
         covered = {cq for p in patterns for cq in p.support if home.get(cq) == onto}
         distinct = sum(1 for p in patterns if onto in p.ontologies)
         out.append((onto, round(len(covered) / distinct, 2) if distinct else 0.0))

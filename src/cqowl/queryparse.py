@@ -265,23 +265,18 @@ class QueryAst(Record):
 _TOKEN_SPEC = [
     ("COMMENT", r"#[^\n]*"),
     ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
-    ("TYPED", r"\^\^"),
     ("VAR", r"[?$][A-Za-z_][A-Za-z_0-9]*"),
     ("BLANK", r"_:[A-Za-z_0-9]+"),
     ("STRING", r'"(?:[^"\\]|\\.)*"'),
     ("PNAME", r"[A-Za-z_][A-Za-z_0-9.-]*:[A-Za-z_0-9](?:[A-Za-z_0-9.-]*[A-Za-z_0-9-])?"),
     ("PNAMENS", r"[A-Za-z_][A-Za-z_0-9.-]*:"),
     ("COLONNAME", r":[A-Za-z_0-9](?:[A-Za-z_0-9.-]*[A-Za-z_0-9-])?"),
-    ("COLON", r":"),
     ("INTEGER", r"[0-9]+"),
     ("NAME", r"[A-Za-z_][A-Za-z_0-9]*"),
-    ("NEQ", r"!="),
-    ("EQ", r"="),
-    ("ANDAND", r"&&"),
-    ("OROR", r"\|\|"),
     ("LANG", r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
-    ("PUNCT", r"[{}()\[\].;,/*+-]"),
+    ("OP", r"!=|=|&&|\|\||\^\^|[{}()\[\].;,/*+:-]"),
     ("WS", r"[ \t\r\n]+"),
+    ("BAD", r"."),  # any other character; a newline is always WS
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
 
@@ -291,44 +286,32 @@ _KEYWORDS = {
 }
 
 
-class _Token:
-    # never compared, hashed or printed, so a plain class: a parse builds
-    # one per token and this is the cheapest object to build
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+def _error_at(text: str, offset: int, message: str) -> QueryParseError:
+    """A :class:`QueryParseError` at character ``offset`` of ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    return QueryParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QueryParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup or ""
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens ending in an ``EOF`` token.
+
+    An operator's kind is its text, and a keyword's kind and text are the
+    upper-cased word, so the parser tests the kind alone.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
         value = m.group()
-        col = pos - line_start + 1
         if kind == "WS" or kind == "COMMENT":
-            pass
+            continue
+        if kind == "OP":
+            kind = value
         elif kind == "NAME" and value.lower() in _KEYWORDS:
-            tokens.append(_Token("KW", value.upper(), line, col))
-        else:
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.end() - (len(value) - value.rfind("\n") - 1)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+            kind = value = value.upper()
+        elif kind == "BAD":
+            raise _error_at(text, m.start(), f"unexpected character {value!r}")
+        tokens.append((kind, value, m.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -339,8 +322,9 @@ _BUILTIN_FNS = {"strstarts": "STRSTARTS", "now": "now"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], prefixes: dict[str, str]):
-        self.tokens = tokens
+    def __init__(self, text: str, prefixes: dict[str, str]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.prefixes = dict(prefixes)
         self.declared: dict[str, str] = {}
@@ -348,94 +332,72 @@ class _Parser:
 
     # token helpers --------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
 
-    def next(self) -> _Token:
+    def accept(self, kind: str) -> Optional[tuple[str, str, int]]:
+        """The current token if it is of ``kind``, consumed; else None."""
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if tok[0] != kind:
+            return None
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, message: Optional[str] = None) -> tuple[str, str, int]:
+        tok = self.accept(kind)
+        if tok is None:
+            shown = kind if kind.isalpha() else repr(kind)
+            raise self.error(message or f"expected {shown}")
         return tok
 
     def error(self, message: str) -> QueryParseError:
-        tok = self.peek()
-        shown = tok.value or "end of input"
-        return QueryParseError(f"{message}, found {shown!r}", tok.line, tok.col)
-
-    def expect_kw(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "KW" and tok.value == word:
-            return self.next()
-        raise self.error(f"expected {word}")
-
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == ch:
-            return self.next()
-        raise self.error(f"expected {ch!r}")
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == ch
-
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KW" and tok.value == word
+        _, value, offset = self.tokens[self.pos]
+        shown = value or "end of input"
+        return _error_at(self.text, offset, f"{message}, found {shown!r}")
 
     # grammar --------------------------------------------------------------
 
     def parse_query(self) -> QueryAst:
-        while self.at_kw("PREFIX"):
-            self.next()
+        while self.accept("PREFIX"):
             label = self._parse_prefix_label()
-            iri_tok = self.peek()
-            if iri_tok.kind != "IRIREF":
-                raise self.error("expected namespace IRI in PREFIX declaration")
-            self.next()
-            self.prefixes[label] = self.declared[label] = iri_tok.value[1:-1]
+            iri = self.expect("IRIREF", "expected namespace IRI in PREFIX declaration")
+            self.prefixes[label] = self.declared[label] = iri[1][1:-1]
 
-        if not (self.at_kw("SELECT") or self.at_kw("ASK")):
+        verb = self.accept("SELECT") or self.accept("ASK")
+        if verb is None:
             raise self.error("expected SELECT or ASK")
-        verb = self.next().value
         distinct, projection = False, None
-        if verb == "SELECT":
-            if self.at_kw("DISTINCT"):
-                self.next()
-                distinct = True
+        if verb[0] == "SELECT":
+            distinct = self.accept("DISTINCT") is not None
             projection = self._parse_projection()
-            self.expect_kw("WHERE")
-        elif self.at_kw("WHERE"):
-            self.next()
+            self.expect("WHERE")
+        else:
+            self.accept("WHERE")
         where = self._parse_group()
-        if self.peek().kind != "EOF":
+        if not self.at("EOF"):
             raise self.error("unexpected trailing content")
-        return QueryAst(verb, distinct, projection, where,
+        return QueryAst(verb[0], distinct, projection, where,
                         tuple(sorted(self.prefixes.items())),
                         tuple(self.declared.items()))
 
     def _parse_prefix_label(self) -> str:
-        tok = self.peek()
-        if tok.kind == "PNAMENS":
-            self.next()
-            return tok.value[:-1]
-        if tok.kind == "COLON":
-            self.next()
-            return ""
-        raise self.error("expected a prefix label like 'ex:'")
+        tok = self.accept("PNAMENS") or self.accept(":")
+        if tok is None:
+            raise self.error("expected a prefix label like 'ex:'")
+        return tok[1][:-1]
 
     def _parse_projection(self):
-        if self.at_punct("*"):
-            self.next()
+        if self.accept("*"):
             return STAR
         vars_: list[Variable] = []
-        while self.peek().kind == "VAR":
+        while self.at("VAR"):
             vars_.append(self._parse_term())
         if not vars_:
             raise self.error("expected '*' or at least one variable after SELECT")
         return tuple(vars_)
 
     def _parse_group(self) -> Group:
-        self.expect_punct("{")
+        self.expect("{")
         items: list[GraphPattern] = []
         triples: list[TriplePattern] = []
 
@@ -445,66 +407,51 @@ class _Parser:
                 items.append(Bgp(tuple(triples)))
                 triples = []
 
-        while not self.at_punct("}"):
-            tok = self.peek()
-            if tok.kind == "EOF":
+        while not self.accept("}"):
+            if self.at("EOF"):
                 raise self.error("unterminated group, expected '}'")
-            if self.at_kw("FILTER"):
-                self.next()
+            if self.accept("FILTER"):
                 flush()
-                if self.at_kw("NOT"):
-                    self.next()
-                    self.expect_kw("EXISTS")
-                    inner = self._parse_group()
-                    items.append(NotExists(inner))
+                if self.accept("NOT"):
+                    self.expect("EXISTS")
+                    items.append(NotExists(self._parse_group()))
                 else:
-                    items.append(Filter(self._parse_constraint()))
-                self._skip_dot()
-            elif self.at_kw("BIND"):
-                self.next()
+                    items.append(Filter(self._parse_primary()))
+            elif self.accept("BIND"):
                 flush()
-                self.expect_punct("(")
+                self.expect("(")
                 expr = self._parse_expr()
-                self.expect_kw("AS")
-                if self.peek().kind != "VAR":
+                self.expect("AS")
+                if not self.at("VAR"):
                     raise self.error("expected variable after AS")
                 var = self._parse_term()
-                self.expect_punct(")")
+                self.expect(")")
                 items.append(Bind(expr, var))
-                self._skip_dot()
-            elif self.at_punct("{"):
+            elif self.at("{"):
                 flush()
-                first = self._parse_group()
-                node: GraphPattern = first
-                while self.at_kw("UNION"):
-                    self.next()
+                node: GraphPattern = self._parse_group()
+                while self.accept("UNION"):
                     right = self._parse_group()
                     node = UnionPattern(node if isinstance(node, Group) else Group((node,)), right)
                 items.append(node)
-                self._skip_dot()
-            elif self.at_kw("SELECT") or self.at_kw("ASK"):
+            elif self.at("SELECT") or self.at("ASK"):
                 raise self.error("subqueries are outside the supported subset")
             else:
                 triples.extend(self._parse_triples_block())
-        self.expect_punct("}")
+            self.accept(".")
         flush()
         return Group(tuple(items))
 
-    def _skip_dot(self):
-        if self.at_punct("."):
-            self.next()
-
-    def _separated(self, parse_item, kind: str, value: str) -> list:
-        """``item (sep item)*`` where the separator is a ``kind`` token ``value``."""
+    def _separated(self, parse_item, sep: str) -> list:
+        """``item (sep item)*``."""
         items = [parse_item()]
-        while self.peek().kind == kind and self.peek().value == value:
-            self.next()
+        while self.accept(sep):
             items.append(parse_item())
         return items
 
-    def _nary(self, node_type, kind: str, value: str, parse_part):
+    def _nary(self, node_type, sep: str, parse_part):
         """A separated list of parts, as ``node_type(parts)`` when there are two or more."""
-        parts = self._separated(parse_part, kind, value)
+        parts = self._separated(parse_part, sep)
         return parts[0] if len(parts) == 1 else node_type(tuple(parts))
 
     # triples ---------------------------------------------------------------
@@ -512,179 +459,141 @@ class _Parser:
     def _parse_triples_block(self) -> list[TriplePattern]:
         subject = self._parse_node(allow_literal=False)
         triples: list[TriplePattern] = []
-        while not (self.at_punct("}") or self.at_punct(".") or self.peek().kind == "EOF"):
+        while not (self.at("}") or self.at(".") or self.at("EOF")):
             triples.append(TriplePattern(subject, *self._parse_predicate_objects()))
-            if not self.at_punct(";"):
-                break
             # a trailing ';' before '.' or '}' is tolerated
-            self.next()
+            if not self.accept(";"):
+                break
         if not triples:
             raise self.error("expected predicate after subject")
-        self._skip_dot()
         return triples
 
     def _parse_predicate_objects(self) -> tuple[TUnion[Term, PropertyPath], tuple[Node, ...]]:
         """One predicate with its comma-separated object list."""
         predicate = self._parse_predicate()
-        return predicate, tuple(self._separated(self._parse_node, "PUNCT", ","))
+        return predicate, tuple(self._separated(self._parse_node, ","))
 
     def _parse_predicate(self) -> TUnion[Term, PropertyPath]:
-        path = self._nary(PathSequence, "PUNCT", "/", self._parse_path_elt)
+        path = self._nary(PathSequence, "/", self._parse_path_elt)
         return path.term if isinstance(path, PathAtom) else path
 
     def _parse_path_elt(self) -> PropertyPath:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.value == "a":
-            self.next()
-            atom: PropertyPath = PathAtom(KeywordA())
-        elif tok.kind in ("IRIREF", "PNAME", "COLONNAME", "VAR"):
-            atom = PathAtom(self._parse_term())
-        else:
+        kind, value, _ = self.tokens[self.pos]
+        if kind not in ("IRIREF", "PNAME", "COLONNAME", "VAR") and \
+                (kind, value) != ("NAME", "a"):
             raise self.error("expected predicate")
-        if self.at_punct("*"):
-            self.next()
-            return PathZeroOrMore(atom)
-        return atom
+        atom = PathAtom(self._parse_term())
+        return PathZeroOrMore(atom) if self.accept("*") else atom
 
     def _parse_node(self, allow_literal: bool = True) -> Node:
-        tok = self.peek()
-        if self.at_punct("["):
+        if self.at("["):
             return self._parse_blank_property_list()
-        if self.at_punct("("):
+        if self.at("("):
             return self._parse_collection()
-        if tok.kind in ("STRING", "INTEGER") and not allow_literal:
+        if not allow_literal and (self.at("STRING") or self.at("INTEGER")):
             raise self.error("literal not allowed in subject position")
         return self._parse_term()
 
     def _parse_blank_property_list(self) -> Node:
-        self.expect_punct("[")
-        if self.at_punct("]"):
-            self.next()
-            blank = AnonBlank(self.anon_counter)
-            self.anon_counter += 1
-            return blank
+        self.expect("[")
         pairs = []
-        while not self.at_punct("]"):
-            if self.peek().kind == "EOF":
+        while not self.accept("]"):
+            if self.at("EOF"):
                 raise self.error("unterminated blank node property list")
             pairs.append(self._parse_predicate_objects())
-            if self.at_punct(";"):
-                self.next()
-        self.expect_punct("]")
-        return BlankPropertyList(tuple(pairs))
+            self.accept(";")
+        if pairs:
+            return BlankPropertyList(tuple(pairs))
+        self.anon_counter += 1
+        return AnonBlank(self.anon_counter - 1)
 
     def _parse_collection(self) -> Collection:
-        self.expect_punct("(")
+        self.expect("(")
         items: list[Node] = []
-        while not self.at_punct(")"):
-            if self.peek().kind == "EOF":
+        while not self.accept(")"):
+            if self.at("EOF"):
                 raise self.error("unterminated collection")
             items.append(self._parse_node())
-        self.expect_punct(")")
         return Collection(tuple(items))
 
     def _parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "IRIREF":
-            self.next()
-            return Iri(tok.value[1:-1])
-        if tok.kind in ("PNAME", "COLONNAME"):
-            prefix, local = tok.value.split(":", 1)
+        kind, value, offset = self.tokens[self.pos]
+        if kind in ("PNAME", "COLONNAME"):
+            prefix, local = value.split(":", 1)
             if prefix not in self.prefixes:
-                raise QueryParseError(
-                    f"prefix {prefix!r} of {tok.value!r} is not declared",
-                    tok.line, tok.col)
-            self.next()
+                raise _error_at(self.text, offset,
+                                f"prefix {prefix!r} of {value!r} is not declared")
+            self.pos += 1
             return PrefixedName(prefix, local)
-        if tok.kind == "VAR":
-            self.next()
-            return Variable(tok.value[1:], tok.value[0])
-        if tok.kind == "BLANK":
-            self.next()
-            return BlankNodeLabel(tok.value[2:])
-        if tok.kind == "NAME" and tok.value == "a":
-            self.next()
+        if kind == "IRIREF":
+            self.pos += 1
+            return Iri(value[1:-1])
+        if kind == "VAR":
+            self.pos += 1
+            return Variable(value[1:], value[0])
+        if kind == "BLANK":
+            self.pos += 1
+            return BlankNodeLabel(value[2:])
+        if kind == "NAME" and value == "a":
+            self.pos += 1
             return KeywordA()
-        if tok.kind == "STRING":
-            self.next()
-            lexical = _unescape_string(tok.value[1:-1])
-            if self.peek().kind == "TYPED":
-                self.next()
-                dt_tok = self.peek()
-                if dt_tok.kind not in ("IRIREF", "PNAME", "COLONNAME"):
-                    raise self.error("expected datatype after '^^'")
-                datatype = self._parse_term()
-                return Literal(lexical, datatype=datatype)
-            if self.peek().kind == "LANG":
-                lang = self.next().value[1:]
-                return Literal(lexical, lang=lang)
-            return Literal(lexical)
-        if tok.kind == "INTEGER":
-            self.next()
-            return Literal(tok.value, datatype=PrefixedName("xsd", "integer"))
-        raise self.error("expected a term")
+        if kind == "INTEGER":
+            self.pos += 1
+            return Literal(value, datatype=PrefixedName("xsd", "integer"))
+        if kind != "STRING":
+            raise self.error("expected a term")
+        self.pos += 1
+        lexical = _unescape_string(value[1:-1])
+        if self.accept("^^"):
+            if not (self.at("IRIREF") or self.at("PNAME") or self.at("COLONNAME")):
+                raise self.error("expected datatype after '^^'")
+            return Literal(lexical, datatype=self._parse_term())
+        lang = self.accept("LANG")
+        return Literal(lexical, lang=lang[1][1:]) if lang else Literal(lexical)
 
     # expressions -------------------------------------------------------------
 
-    def _parse_constraint(self) -> Expr:
-        if self.at_punct("("):
-            self.next()
-            expr = self._parse_expr()
-            self.expect_punct(")")
-            return Paren(expr)
-        # bare builtin call form: FILTER STRSTARTS(...)
-        return self._parse_primary()
-
     def _parse_expr(self) -> Expr:
-        return self._nary(Or, "OROR", "||", self._parse_and)
+        return self._nary(Or, "||", self._parse_and)
 
     def _parse_and(self) -> Expr:
-        return self._nary(And, "ANDAND", "&&", self._parse_relational)
+        return self._nary(And, "&&", self._parse_relational)
 
     def _parse_relational(self) -> Expr:
         left = self._parse_additive()
-        tok = self.peek()
-        if tok.kind in ("EQ", "NEQ"):
-            op = "=" if tok.kind == "EQ" else "!="
-            self.next()
-            right = self._parse_additive()
-            return Compare(op, left, right)
-        if self.at_kw("IN"):
-            self.next()
-            self.expect_punct("(")
-            options = self._separated(self._parse_expr, "PUNCT", ",")
-            self.expect_punct(")")
+        op = self.accept("=") or self.accept("!=")
+        if op:
+            return Compare(op[0], left, self._parse_additive())
+        if self.accept("IN"):
+            self.expect("(")
+            options = self._separated(self._parse_expr, ",")
+            self.expect(")")
             return In(left, tuple(options))
         return left
 
     def _parse_additive(self) -> Expr:
         left = self._parse_primary()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next().value
-            right = self._parse_primary()
-            left = Arith(op, left, right)
+        while op := self.accept("+") or self.accept("-"):
+            left = Arith(op[0], left, self._parse_primary())
         return left
 
     def _parse_primary(self) -> Expr:
-        tok = self.peek()
-        if self.at_punct("("):
-            self.next()
+        kind, value, _ = self.tokens[self.pos]
+        if self.accept("("):
             inner = self._parse_expr()
-            self.expect_punct(")")
+            self.expect(")")
             return Paren(inner)
-        if tok.kind == "NAME" and tok.value.lower() in _BUILTIN_FNS:
-            self.next()
-            return self._parse_call(_BUILTIN_FNS[tok.value.lower()])
-        if tok.kind in ("PNAME", "COLONNAME") and self.peek(1).kind == "PUNCT" \
-                and self.peek(1).value == "(":
-            fn_term = self._parse_term()
-            return self._parse_call(fn_term)
+        if kind == "NAME" and value.lower() in _BUILTIN_FNS:
+            self.pos += 1
+            return self._parse_call(_BUILTIN_FNS[value.lower()])
+        if kind in ("PNAME", "COLONNAME") and self.tokens[self.pos + 1][0] == "(":
+            return self._parse_call(self._parse_term())
         return TermRef(self._parse_term())
 
     def _parse_call(self, name) -> FnCall:
-        self.expect_punct("(")
-        args = [] if self.at_punct(")") else self._separated(self._parse_expr, "PUNCT", ",")
-        self.expect_punct(")")
+        self.expect("(")
+        args = [] if self.at(")") else self._separated(self._parse_expr, ",")
+        self.expect(")")
         return FnCall(name, tuple(args))
 
 
@@ -710,7 +619,7 @@ def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAs
     table = dict(WELL_KNOWN_PREFIXES)
     if prefixes:
         table.update(prefixes)
-    return _Parser(_tokenize(text), table).parse_query()
+    return _Parser(text, table).parse_query()
 
 
 # ---------------------------------------------------------------------------

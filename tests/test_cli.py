@@ -29,6 +29,32 @@ def test_validate_ok(capsys):
     assert "131" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["chunk", "--corpus", CORPUS_PATH, "--tagger", "bogus"],
+     "argument --tagger: invalid choice: 'bogus'"),
+    (["report", "--corpus", CORPUS_PATH, "--max-triples", "abc"],
+     "argument --max-triples: invalid int value: 'abc'"),
+    (["validate"], "the following arguments are required: --corpus"),
+    (["bogus", "--corpus", CORPUS_PATH], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1_with_argparse_message(tmp_path, capsys, monkeypatch,
+                                                   args, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cqowl") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(flag)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_validate_duplicate_id_exit_1(tmp_path, capsys):
     path = tmp_path / "dup.jsonl"
     record = json.dumps({"id": "dup_1", "ontology": "AWO",
@@ -191,6 +217,17 @@ def test_cq_without_a_word_exit_1(tmp_path, capsys, command, layout):
                "--out", out) == 1
     assert capsys.readouterr().err == f"error: {where}: field 'cq' has no word: '?'\n"
     assert not out.exists()
+
+
+def test_verbless_cq_starting_with_an_adposition_reports(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps({"id": "q1", "ontology": "AWO",
+                                  "cq": "In which country?"}) + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("report", "--corpus", corpus, "--out", out) == 0
+    chunks = (out / "chunks.csv").read_text(encoding="utf-8").splitlines()
+    assert chunks[1] == "q1,AWO,EC1=country,In which EC1"
 
 
 def test_markdown_cells_escape_pipes(tmp_path):

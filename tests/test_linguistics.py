@@ -70,6 +70,20 @@ def test_basic_tagging_and_root():
     assert len(root) == 1 and root[0].surface == "eat"
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("In which country?", "In which EC1"),
+    ("For which purpose?", "For which EC1"),
+    ("Of what?", "Of what"),
+    ("In which country do lions live?", "In which EC1 PC1 EC2 PC1"),
+])
+def test_verbless_cq_starting_with_an_adposition_has_one_root(text, expected):
+    # with no verb the root falls back to token 0, which may be the ADP
+    # itself; it must stay the root rather than attach to the next noun
+    roots = [t for t in builtin_annotate(text) if t.head == t.index]
+    assert len(roots) == 1
+    assert candidate(text) == expected
+
+
 def test_aux_dependency_link():
     tokens = builtin_annotate("Does a lion eat plants or plant parts?")
     does = tokens[0]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cqowl.queryparse import (
@@ -125,6 +127,56 @@ def test_errors_carry_positions():
         parse_query("", PREFIXES)
     with pytest.raises(QueryParseError):
         parse_query("DESCRIBE ?x", PREFIXES)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    # a newline inside a string literal starts a new line too
+    ('ASK {\n  ?x rdfs:label "one\ntwo" ]\n}', "expected a term, found ']'", 3, 6),
+    ('ASK {\n  ?x rdfs:label "one\ntwo" %\n}', "unexpected character '%'", 3, 6),
+    # end of input is placed after the comment that precedes it
+    ("ASK {\n  ?x a ?y .\n# no closing brace", "found 'end of input'", 3, 19),
+    ("ASK { ?x a ?y\n# comment\n", "found 'end of input'", 3, 1),
+])
+def test_error_positions_count_every_newline(text, message, line, col):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).endswith(f"(line {line}, column {col})")
+
+
+_MUTATION_PIECES = list('{}()[].;,/*+-:=!&|^<>"?$_#@\\\n\t xa0') + [
+    "SELECT", "ASK", "WHERE", "FILTER", "NOT EXISTS", "BIND", " AS ", " IN ", "UNION",
+    "DISTINCT", "PREFIX ex: <http://example.org/>", "ex:", "_:", "^^", "&&", "||",
+    "!=", "\n# comment\n", "@en", '"text"',
+]
+
+
+def test_mutated_queries_round_trip_or_raise_parse_errors(corpus):
+    # seeded character edits of the bundled queries: each result either
+    # parses to an AST that survives serialization, or is a QueryParseError
+    # whose position lies inside the text
+    rng = random.Random(20181)
+    queries = [(q.query_text, corpus.ontology(q.ontology).prefixes())
+               for q in corpus.questions if q.query_text is not None]
+    parsed = 0
+    for _ in range(2500):
+        text, prefixes = rng.choice(queries)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            piece = rng.choice(_MUTATION_PIECES)
+            text = rng.choice((text[:i] + text[i + 1:], text[:i] + piece + text[i:],
+                               text[:i] + piece + text[i + 1:]))
+        try:
+            ast = parse_query(text, prefixes)
+        except QueryParseError as exc:
+            lines = text.split("\n")
+            assert 1 <= exc.line <= len(lines), text
+            assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, text
+            continue
+        parsed += 1
+        assert parse_query(serialize_query(ast), prefixes) == ast, text
+    assert 100 < parsed < 2400  # both outcomes are well represented
 
 
 def test_out_of_scope_syntax_is_rejected():

@@ -1,5 +1,6 @@
 """Semantics of the shared record base, pinned through the records that use
-it, and a guard that importing the CLI stays free of ``dataclasses``."""
+it, and guards that importing the CLI stays free of ``dataclasses`` and
+loading the bundled corpus free of ``importlib.resources``."""
 from __future__ import annotations
 
 import os
@@ -97,3 +98,18 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_loading_the_bundled_corpus_leaves_importlib_resources_unloaded():
+    # from Python 3.12 on ``importlib.resources`` loads ``inspect``, ``ast``,
+    # ``dis`` and ``tokenize``; ``-S`` keeps site-packages ``.pth`` files,
+    # which may import it at startup, out of the measurement
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from cqowl.corpus import load_corpus; "
+            f"load_corpus({str(REPO_ROOT / 'data' / 'cq_sparql_owl.jsonl')!r}); "
+            "print('importlib.resources' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
