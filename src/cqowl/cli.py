@@ -3,6 +3,10 @@
 All data outputs are deterministic files under ``--out``; diagnostics go to
 standard error.  Exit codes: 0 success, 1 validation/input error, 2
 internal error.
+
+Only the modules that ``validate`` runs are imported at the top; every
+other module is imported by the step that first needs it, so a process
+loads (and compiles) only the stages of its subcommand.
 """
 from __future__ import annotations
 
@@ -11,22 +15,23 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, reference
-from .corpus import Corpus, CorpusError, load_corpus, translatability_report
-from .correspondence import load_rules
-from .linguistics import AnnotationError
-from .patterns import (
-    CoverageRow,
-    avg_cqs_per_pattern,
-    classify_cq,
-    coverage_stats,
-    cross_set_reuse,
+from . import __version__
+from .corpus import (
+    AnnotationError,
+    Corpus,
+    CorpusError,
+    load_corpus,
+    translatability_report,
 )
-from .pipeline import AnalysisBundle, discovery_for, mapping_for, run_pipeline, signals_for
-from .queryparse import keyword_report, serialize_query
+from .queryparse import DEFAULT_MAX_TRIPLES, keyword_report, serialize_query
 from .reporting import Table, write_jsonl
-from .signatures import DEFAULT_MAX_TRIPLES, coverage_table
+
+if TYPE_CHECKING:
+    from .correspondence import SignalRule
+    from .patterns import CqFeatures
+    from .pipeline import AnalysisBundle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,34 +41,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "SPARQL-OWL translations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--corpus", required=True, help="corpus path")
-        p.add_argument("--format", choices=("jsonl", "dataset_dir"),
-                       default="jsonl", help="corpus format")
-        p.add_argument("--tagger", choices=("builtin", "conllu"),
-                       default="builtin", help="annotation source")
-        p.add_argument("--conllu-dir", type=Path, default=None,
-                       help="directory of <cq id>.conllu files")
-        p.add_argument("--overrides", type=Path, default=None,
-                       help="JSON file mapping cq id to corrected candidate")
-        p.add_argument("--out", type=Path, default=Path("out"),
-                       help="output directory")
-        p.add_argument("--emit", default="csv,md",
-                       help="comma-separated report formats (csv, md)")
-        p.add_argument("--max-triples", type=int, default=DEFAULT_MAX_TRIPLES,
-                       help="canonicalization bound per BGP")
-        p.add_argument("--stoplist", type=Path, default=None,
-                       help="newline-separated stopword file for discovery")
-        p.add_argument("--min-support", type=int, default=2,
-                       help="minimum subgroup size for discovered signals")
-        p.add_argument("--rules", type=Path, default=None,
-                       help="JSON signal-rule file (default: built-in rules)")
-        p.add_argument("--paper-calibration", action="store_true",
-                       help="emit delta tables against the published "
-                            "reference values")
+    parser.add_argument("command", choices=SUBCOMMANDS,
+                        help="the stage to run; report runs all of them")
+    parser.add_argument("--corpus", required=True, help="corpus path")
+    parser.add_argument("--format", choices=("jsonl", "dataset_dir"),
+                        default="jsonl", help="corpus format")
+    parser.add_argument("--tagger", choices=("builtin", "conllu"),
+                        default="builtin", help="annotation source")
+    parser.add_argument("--conllu-dir", type=Path, default=None,
+                        help="directory of <cq id>.conllu files")
+    parser.add_argument("--overrides", type=Path, default=None,
+                        help="JSON file mapping cq id to corrected candidate")
+    parser.add_argument("--out", type=Path, default=Path("out"),
+                        help="output directory")
+    parser.add_argument("--emit", default="csv,md",
+                        help="comma-separated report formats (csv, md)")
+    parser.add_argument("--max-triples", type=int, default=DEFAULT_MAX_TRIPLES,
+                        help="canonicalization bound per BGP")
+    parser.add_argument("--stoplist", type=Path, default=None,
+                        help="newline-separated stopword file for discovery")
+    parser.add_argument("--min-support", type=int, default=2,
+                        help="minimum subgroup size for discovered signals")
+    parser.add_argument("--rules", type=Path, default=None,
+                        help="JSON signal-rule file (default: built-in rules)")
+    parser.add_argument("--paper-calibration", action="store_true",
+                        help="emit delta tables against the published "
+                             "reference values")
     return parser
+
+
+# ``run_pipeline`` and ``classify_cq`` are looked up as attributes of this
+# module, instead of being imported where they are used, only because
+# perfbench's tracer wraps them here (``perfbench/spans.py``); they become
+# plain local imports once the program records its own spans (ROADMAP
+# item 1).
+def run_pipeline(corpus: Corpus, **options) -> AnalysisBundle:
+    from .pipeline import AnalysisBundle
+    return AnalysisBundle(corpus, **options)
+
+
+def classify_cq(text: str) -> CqFeatures:
+    from .patterns import classify_cq
+    return classify_cq(text)
 
 
 class FlagError(ValueError):
@@ -131,7 +150,7 @@ def _check_flags(args) -> list[str]:
         if value < least:
             raise FlagError(f"{flag} must be at least {least}, got {value}")
     args.overrides = _read_flag_file("--overrides", args.overrides, _load_overrides)
-    args.rules = _read_flag_file("--rules", args.rules, load_rules)
+    args.rules = _read_flag_file("--rules", args.rules, _load_rules)
     args.stoplist = _read_flag_file("--stoplist", args.stoplist, _load_stoplist)
     return formats
 
@@ -152,6 +171,11 @@ def _load_overrides(path: Path) -> dict[str, str]:
         raise ValueError(f"{path}: expected a JSON object mapping CQ ids "
                          f"to candidate strings")
     return overrides
+
+
+def _load_rules(path: Path) -> list[SignalRule]:
+    from .correspondence import load_rules
+    return load_rules(path)
 
 
 def _load_stoplist(path: Path) -> frozenset[str]:
@@ -190,6 +214,13 @@ def _cmd_chunk(bundle: AnalysisBundle, emit, args) -> None:
 
 
 def _cmd_patterns(bundle: AnalysisBundle, emit, args) -> None:
+    from .patterns import (
+        CoverageRow,
+        avg_cqs_per_pattern,
+        coverage_stats,
+        cross_set_reuse,
+    )
+
     order = bundle.corpus.ontology_names()
     rows = coverage_stats(bundle.candidates, bundle.patterns, bundle.higher,
                           ontology_order=order)
@@ -214,6 +245,8 @@ def _cmd_patterns(bundle: AnalysisBundle, emit, args) -> None:
          ((r.cq_id, r.ontology, r.text, r.reason) for r in bundle.rejected))
 
     if args.paper_calibration:
+        from . import reference
+
         calib = []
         for r in rows:
             ref = reference.PATTERN_COVERAGE.get(r.ontology)
@@ -255,6 +288,8 @@ def _cmd_parse(bundle: AnalysisBundle, emit, args) -> None:
     if errors:
         emit("untranslatable_queries", ["cq_id", "error"], errors)
     if args.paper_calibration:
+        from . import reference
+
         emit("translatability_calibration", [
             "ontology", "computed_cqs", "computed_translated",
             "reference_cqs", "reference_translated",
@@ -276,6 +311,8 @@ def _cmd_keywords(bundle: AnalysisBundle, emit, args) -> None:
     if errors:
         emit("keywords_excluded", ["cq_id", "error"], errors)
     if args.paper_calibration:
+        from . import reference
+
         calib = []
         for r in rows:
             ref = reference.KEYWORD_USAGE.get(r["keyword"], (0, {}))[0]
@@ -285,6 +322,8 @@ def _cmd_keywords(bundle: AnalysisBundle, emit, args) -> None:
 
 
 def _cmd_signatures(bundle: AnalysisBundle, emit, args) -> None:
+    from .signatures import coverage_table
+
     rows = coverage_table(bundle.signature_groups)
     emit("signatures", [
         "rank", "verb", "distinct", "count", "cumulative_pct", "members",
@@ -302,6 +341,8 @@ def _cmd_signatures(bundle: AnalysisBundle, emit, args) -> None:
     ))
     emit("signatures_skipped", ["cq_id", "reason"], bundle.signature_skipped)
     if args.paper_calibration:
+        from . import reference
+
         computed = len(bundle.signature_groups)
         top9 = rows[min(8, len(rows) - 1)]["cumulative_pct"] if rows else 0.0
         emit("signatures_calibration",
@@ -315,6 +356,8 @@ def _cmd_signatures(bundle: AnalysisBundle, emit, args) -> None:
 
 
 def _cmd_map(bundle: AnalysisBundle, emit, args) -> None:
+    from .pipeline import mapping_for
+
     for level in ("pattern", "higher"):
         edges, summary = mapping_for(bundle, level=level)
         emit(f"mapping_{level}", ["pattern", "signature", "witnesses"], (
@@ -340,6 +383,8 @@ def _fmt_hist(hist) -> str:
 
 
 def _cmd_signals(bundle: AnalysisBundle, emit, args) -> None:
+    from .pipeline import discovery_for, signals_for
+
     rows = signals_for(bundle, args.rules)
     emit("signals", ["rule", "signal", "target", "support", "non_evidential"], (
         (r.rule_id, r.signal, r.target.replace("\n", " "), r.fraction,
@@ -358,6 +403,8 @@ def _cmd_signals(bundle: AnalysisBundle, emit, args) -> None:
     ))
 
     if args.paper_calibration:
+        from . import reference
+
         calib = []
         for r in rows:
             ref = reference.SIGNAL_SUPPORT.get(r.rule_id)

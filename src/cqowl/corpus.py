@@ -29,6 +29,14 @@ class CorpusError(ValueError):
     """Structural problem in a corpus file; message carries file/line/field."""
 
 
+class AnnotationError(ValueError):
+    """Raised for empty input, bad CoNLL-U data, or mismatched text.
+
+    Raised by :mod:`cqowl.linguistics`; defined here so that the CLI can
+    catch it without importing the annotator.
+    """
+
+
 class OntologyId(Record):
     short_name: str
     prefix_table: tuple[tuple[str, str], ...] = ()

@@ -16,17 +16,13 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import CorpusError, placeholder_spans, read_text
+from .corpus import AnnotationError, CorpusError, placeholder_spans, read_text
 from .records import Record
 
 POS_TAGS = {
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "DET", "ADP", "PRON", "ADV",
     "NUM", "PUNCT", "CCONJ", "SCONJ", "PART", "X",
 }
-
-
-class AnnotationError(ValueError):
-    """Raised for empty input, bad CoNLL-U data, or mismatched text."""
 
 
 class TokenAnnotation(Record):

@@ -1,33 +1,62 @@
-"""Lazily computed analysis stages shared by the CLI subcommands."""
+"""Lazily computed analysis stages shared by the CLI subcommands.
+
+Importing this module loads none of the stage modules (``linguistics``,
+``patterns``, ``signatures``, ``correspondence``): each is imported when
+a stage first calls into it, so a subcommand loads only what it runs.
+"""
 from __future__ import annotations
 
 from functools import cached_property
+from importlib import import_module
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .corpus import Corpus
-from .correspondence import (
-    BUILTIN_RULES,
-    DEFAULT_STOPLIST,
-    DiscoveredSignal,
-    MappingEdge,
-    MappingSummary,
-    SignalRow,
-    SignalRule,
-    build_mapping,
-    discover_signals,
-    mine_signals,
-)
-from .linguistics import AnnotatedSentence, annotate_sentence, to_pattern_candidate
-from .patterns import (
-    CandidateRecord,
-    Pattern,
-    RejectedCandidate,
-    filter_candidates,
-    higher_level_inventory,
-)
-from .queryparse import QueryAst
-from .signatures import DEFAULT_MAX_TRIPLES, SignatureGroup, group_by_signature
+from .queryparse import DEFAULT_MAX_TRIPLES
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
+    from .correspondence import (
+        DiscoveredSignal,
+        MappingEdge,
+        MappingSummary,
+        SignalRow,
+        SignalRule,
+    )
+    from .linguistics import AnnotatedSentence
+    from .patterns import CandidateRecord, Pattern, RejectedCandidate
+    from .queryparse import QueryAst
+    from .signatures import SignatureGroup
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``module.name`` that imports the module on its first call.
+
+    The stage functions below are attributes of this module only because
+    perfbench's tracer wraps them here (``perfbench/spans.py``); once the
+    program records its own spans (ROADMAP item 1) they become local
+    imports in the stages.  The first call binds the target for good: the
+    tracer also wraps ``signatures.group_by_signature``, and the benchmark
+    runs each round untraced before tracing it, so one call gives one span.
+    """
+    target = None
+
+    def forward(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f"{__package__}.{module}"), name)
+        return target(*args, **kwargs)
+
+    return forward
+
+
+annotate_sentence = _deferred("linguistics", "annotate_sentence")
+to_pattern_candidate = _deferred("linguistics", "to_pattern_candidate")
+filter_candidates = _deferred("patterns", "filter_candidates")
+higher_level_inventory = _deferred("patterns", "higher_level_inventory")
+group_by_signature = _deferred("signatures", "group_by_signature")
+build_mapping = _deferred("correspondence", "build_mapping")
+mine_signals = _deferred("correspondence", "mine_signals")
+discover_signals = _deferred("correspondence", "discover_signals")
 
 
 class AnalysisBundle:
@@ -64,6 +93,8 @@ class AnalysisBundle:
 
     @cached_property
     def candidates(self) -> list[CandidateRecord]:
+        from .patterns import CandidateRecord
+
         sentences = self.sentences
         return [
             CandidateRecord(q.id, q.ontology, q.dematerialized,
@@ -128,10 +159,6 @@ class AnalysisBundle:
         return rows
 
 
-# Builds the bundle only; each stage runs when it is first read.
-run_pipeline = AnalysisBundle
-
-
 def mapping_for(bundle: AnalysisBundle, level: str = "pattern") \
         -> tuple[list[MappingEdge], MappingSummary]:
     inventory = bundle.patterns if level == "pattern" else bundle.higher
@@ -141,6 +168,8 @@ def mapping_for(bundle: AnalysisBundle, level: str = "pattern") \
 def signals_for(
     bundle: AnalysisBundle, rules: Optional[list[SignalRule]] = None
 ) -> list[SignalRow]:
+    from .correspondence import BUILTIN_RULES
+
     return mine_signals(rules or list(BUILTIN_RULES), bundle.translated_rows())
 
 
@@ -148,6 +177,8 @@ def discovery_for(
     bundle: AnalysisBundle, min_support: int = 2,
     stoplist: Optional[frozenset[str]] = None,
 ) -> list[DiscoveredSignal]:
+    from .correspondence import DEFAULT_STOPLIST
+
     return discover_signals(
         bundle.translated_rows(), min_support=min_support,
         stoplist=stoplist if stoplist is not None else DEFAULT_STOPLIST,

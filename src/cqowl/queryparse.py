@@ -31,6 +31,11 @@ WELL_KNOWN_PREFIXES = {
     "xsd": XSD_NS,
 }
 
+# The default bound on the triples of one BGP that ``signatures``
+# canonicalizes; it lives here so the CLI can name it without importing
+# the canonicalizer.
+DEFAULT_MAX_TRIPLES = 16
+
 
 class QueryParseError(ValueError):
     """Lexical or grammatical error, carrying the source position."""
@@ -661,7 +666,10 @@ def _render_pattern(item: GraphPattern, depth: int, pad: str) -> str:
     if isinstance(item, Bgp):
         return "\n".join(pad + line for line in _render_bgp(item, depth))
     if isinstance(item, Filter):
-        return pad + "FILTER " + _render_expr(item.expr)
+        # a bare name would run on into a collection subject after it and
+        # re-parse as a function call, so only a closing ")" may end it
+        expr = _render_expr(item.expr)
+        return pad + "FILTER " + expr + ("" if expr.endswith(")") else " .")
     if isinstance(item, NotExists):
         return pad + "FILTER NOT EXISTS " + _render_group(item.pattern, depth)
     if isinstance(item, Bind):

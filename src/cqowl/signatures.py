@@ -34,6 +34,7 @@ from .queryparse import (
     BlankPropertyList,
     Collection,
     Compare,
+    DEFAULT_MAX_TRIPLES,
     Expr,
     Filter,
     FnCall,
@@ -64,7 +65,6 @@ RESERVED_NAMESPACES = {ns: prefix for prefix, ns in WELL_KNOWN_PREFIXES.items()}
 URI_TOKEN = ":URI"
 LIT_TOKEN = ":LIT"
 
-DEFAULT_MAX_TRIPLES = 16
 _BRANCH_CAP = 20000
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cqowl.corpus import load_corpus
-from cqowl.pipeline import run_pipeline
+from cqowl.pipeline import AnalysisBundle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_PATH = REPO_ROOT / "data" / "cq_sparql_owl.jsonl"
@@ -18,4 +18,4 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def bundle(corpus):
-    return run_pipeline(corpus)
+    return AnalysisBundle(corpus)

@@ -237,6 +237,13 @@ def test_collections_roundtrip():
     assert parse_query(serialize_query(ast), PREFIXES) == ast
 
 
+def test_filter_on_a_bare_name_before_a_collection_roundtrips():
+    # without a closing "." the name and the collection after it re-parse
+    # as the function call ``owl:Nothing(?a)``
+    ast = parse_query("ASK { FILTER owl:Nothing . ( ?a ) rdf:type ?b . }")
+    assert parse_query(serialize_query(ast)) == ast
+
+
 def test_labeled_blank_nodes():
     q = "SELECT ?x WHERE { ?x rdfs:subClassOf _:b2 . _:b2 owl:onProperty ?p . }"
     ast = parse_query(q, PREFIXES)

@@ -1,6 +1,7 @@
 """Semantics of the shared record base, pinned through the records that use
-it, and guards that importing the CLI stays free of ``dataclasses`` and
-loading the bundled corpus free of ``importlib.resources``."""
+it, and guards that importing the CLI stays free of ``dataclasses``, each
+subcommand loads only the modules it runs, and loading the bundled corpus
+stays free of ``importlib.resources``."""
 from __future__ import annotations
 
 import os
@@ -98,6 +99,40 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_VALIDATE_MODULES = {"cli", "corpus", "queryparse", "records", "reporting"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, _VALIDATE_MODULES),
+    (["validate"], _VALIDATE_MODULES),
+    (["keywords"], _VALIDATE_MODULES | {"pipeline"}),
+    (["parse"], _VALIDATE_MODULES | {"pipeline"}),
+    (["chunk"], _VALIDATE_MODULES | {"pipeline", "linguistics", "patterns"}),
+    (["signatures"], _VALIDATE_MODULES | {"pipeline", "signatures"}),
+    (["report", "--paper-calibration"], _VALIDATE_MODULES | {
+        "pipeline", "linguistics", "patterns", "signatures", "correspondence",
+        "reference"}),
+], ids=["import", "validate", "keywords", "parse", "chunk", "signatures",
+        "report"])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    # every process compiles each module it imports, so a module that a
+    # subcommand does not run must stay unloaded; ``None`` only imports
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    if argv is not None:
+        argv = argv + ["--corpus", str(REPO_ROOT / "data" / "cq_sparql_owl.jsonl"),
+                       "--out", str(tmp_path)]
+    call = "0" if argv is None else f"main({argv!r})"
+    code = ("import sys\nfrom cqowl.cli import main\n"
+            f"code = {call}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cqowl.')))\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == str(sorted(f"cqowl.{m}" for m in modules))
 
 
 def test_loading_the_bundled_corpus_leaves_importlib_resources_unloaded():
