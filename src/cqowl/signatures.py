@@ -16,8 +16,10 @@ it equals the brute-force minimum while staying cheap on asymmetric
 queries.
 
 Parts equal up to renaming slots used nowhere else render alike in any
-order, so each class of them is tried in one order only; equal parts tied
-by shared slots (2-cycles) can still raise CanonicalizationLimitExceeded.
+order, so each class of them is tried in one order only (a sequence of one
+class renders straight through); equal parts tied by shared slots
+(2-cycles) can still raise CanonicalizationLimitExceeded.  Naming states
+are copied only when a rendering names a new slot.
 """
 from __future__ import annotations
 
@@ -289,35 +291,36 @@ def _class_key(part: _Node, totals: dict) -> tuple:
 
 
 class _Namer:
-    """First-occurrence canonical names; copy-on-branch."""
+    """First-occurrence canonical names; copy-on-write: a namer is never
+    changed once ``render`` returns it, so search branches share it."""
 
     def __init__(self):
         self.vars: dict[str, str] = {}
         self.blanks: dict[str, str] = {}
-
-    def clone(self) -> "_Namer":
-        fresh = _Namer.__new__(_Namer)
-        fresh.vars = dict(self.vars)
-        fresh.blanks = dict(self.blanks)
-        return fresh
 
     def key(self) -> tuple:
         # names are numbered in insertion order, so equal mappings have
         # equal item sequences
         return tuple(self.vars.items()), tuple(self.blanks.items())
 
-    def render(self, tokens: Iterable) -> str:
+    def render(self, tokens: Iterable) -> tuple[str, "_Namer"]:
+        """``tokens`` named, and ``self`` or, if it named a new slot, a copy."""
+        out = self
         parts = []
         for tok in tokens:
             if isinstance(tok, tuple):
                 kind, key = tok
-                names = self.vars if kind == "var" else self.blanks
+                names = out.vars if kind == "var" else out.blanks
                 tok = names.get(key)
                 if tok is None:
+                    if out is self:
+                        out = _Namer.__new__(_Namer)
+                        out.vars, out.blanks = dict(self.vars), dict(self.blanks)
+                        names = out.vars if kind == "var" else out.blanks
                     prefix = "?v" if kind == "var" else "_:b"
                     tok = names[key] = f"{prefix}{len(names) + 1}"
             parts.append(tok)
-        return " ".join(parts)
+        return " ".join(parts), out
 
 
 def _keep_min(candidates: list[tuple[str, object]], key=_Namer.key) -> tuple[str, list]:
@@ -394,8 +397,10 @@ class _Canonicalizer:
                 top: bool = False) -> tuple[str, list[_Namer]]:
         kind = node.kind
         if kind == "tokens":
-            return _keep_min([(trial.render(node.tokens), trial)
-                              for trial in map(_Namer.clone, states)])
+            if len(states) == 1:  # nothing to compare
+                text, state = states[0].render(node.tokens)
+                return text, [state]
+            return _keep_min([state.render(node.tokens) for state in states])
         if kind == "bgp":
             return self._min_sequence(node.children, states, "\n")
         if kind in ("and", "or"):
@@ -431,21 +436,30 @@ class _Canonicalizer:
         """Minimal rendering of an orderable list, over all states."""
         if not parts:
             return "", states
-        if not self.search:
-            # source order: no reordering, but every naming state that
-            # yields the minimal text is kept, so the result is a function
-            # of the AST alone
-            texts = []
-            for part in parts:
-                text, states = self._render(part, states)
-                texts.append(text)
-            return sep.join(texts), states
-
         # taking a later part of a class first renders the same texts with
         # the names of private slots swapped, which nothing else reads; so
         # classes are taken in source order, and a frontier entry, (parts
-        # taken per class, namer), has emitted the identical text so far
-        classes = [parts] if len(parts) == 1 else self._classes(parts)
+        # taken per class, namer), has emitted the identical text so far.
+        # Without search the source order is the one order tried.
+        classes = [parts] if len(parts) == 1 or not self.search else self._classes(parts)
+        if len(classes) == 1:
+            # one order: straight through, keeping every naming state that
+            # yields the minimal text; tied states render one at a time, as
+            # in the frontier, so searches nested in a part count alike
+            texts = []
+            for part in parts:
+                self._bump(len(states))
+                if len(states) == 1:
+                    text, states = self._render(part, states)
+                else:
+                    candidates = []
+                    for state in states:
+                        text, outs = self._render(part, [state])
+                        candidates.extend((text, out) for out in outs)
+                    text, states = _keep_min(candidates)
+                texts.append(text)
+                self._bump(len(states))
+            return sep.join(texts), states
         frontier: list[tuple[tuple, _Namer]] = [
             ((0,) * len(classes), s) for s in states]
         emitted: list[str] = []

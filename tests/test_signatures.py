@@ -26,6 +26,8 @@ from cqowl.queryparse import (
 )
 from cqowl.signatures import (
     CanonicalizationLimitExceeded,
+    _Canonicalizer,
+    _Namer,
     canonicalize,
     coverage_table,
     group_by_signature,
@@ -441,3 +443,122 @@ def test_interchangeable_parts_invariant_under_shuffle_and_renaming():
         expected = canonicalize(_pruning_query(case)).skeleton
         for _ in range(3):
             assert canonicalize(_pruning_query(case, rng)).skeleton == expected
+
+
+# ---------------------------------------------------------------------------
+# sequences whose parts form one class of interchangeable parts render in
+# one order; they must still give the global minimum and count the branches
+# the frontier search counted
+
+
+def _family_case(family: str, n: int) -> tuple[list, list, list]:
+    """One of the four adversarial shapes with ``n`` interchangeable parts,
+    in the case format of ``_pruning_case``."""
+    if family == "symmetric":
+        return ["?{k%d} ex:p ex:{k%d}" % (i, n + i) for i in range(n)], [], []
+    if family == "star":
+        return ["?{k0} ex:p ?{k%d}" % i for i in range(1, n + 1)], [], []
+    if family == "filter":
+        return (["?{k0} rdfs:subClassOf ex:{k1}"],
+                ["?{k0} != ex:{k%d}" % i for i in range(2, n + 2)], [])
+    if family == "objlist":
+        objects = ", ".join("ex:{k%d}" % i for i in range(1, n + 1))
+        return [f"?{{k0}} rdfs:subClassOf {objects}"], [], []
+    raise ValueError(family)
+
+
+# two or more naming states tie on the main BGP (the hub triples render
+# alike whichever of them comes first) and are told apart only after the
+# FILTER, whose conjuncts form one class
+_TIED_STATE_CASES = {
+    "bind": (["?{k0} ex:p ?{k1}", "?{k0} ex:p ?{k2}"],
+             ["?{k3} != ex:{k4}", "?{k5} != ex:{k6}"],
+             ["BIND(?{k1} AS ?{k7})"]),
+    "not exists": (["?{k0} ex:p ?{k1}", "?{k0} ex:p ?{k2}"],
+                   ["?{k3} != ex:{k4}", "?{k5} != ex:{k6}"],
+                   ["FILTER NOT EXISTS { ?{k1} ex:q ex:{k7} }"]),
+    "three states": (["?{k0} ex:p ?{k1}", "?{k0} ex:p ?{k2}", "?{k0} ex:p ?{k3}"],
+                     ["?{k4} != ex:{k5}", "?{k6} != ex:{k7}", "?{k8} != ex:{k9}"],
+                     ["BIND(?{k1} AS ?{k10})"]),
+    "not exists bgp": (["?{k0} ex:p ?{k1}", "?{k0} ex:p ?{k2}"], [],
+                       ["FILTER NOT EXISTS { ?{k3} ex:q ex:{k4} . ?{k5} ex:q ex:{k6} }",
+                        "BIND(?{k1} AS ?{k7})"]),
+}
+
+
+def _one_class_query(case: tuple[list, list, list],
+                     rng: random.Random | None = None) -> QueryAst:
+    """Like ``_pruning_query``, but the FILTER comes before the context
+    items, so that they read the slots again after it, and with ``rng`` the
+    objects of each object list are shuffled too."""
+    triples, conjuncts, context = (list(part) for part in case)
+    if rng is not None:
+        for i, triple in enumerate(triples):
+            subject, predicate, objects = triple.split(" ", 2)
+            objects = objects.split(", ")
+            rng.shuffle(objects)
+            triples[i] = f"{subject} {predicate} {', '.join(objects)}"
+        rng.shuffle(conjuncts)
+        conjuncts = [" != ".join(c.split(" != ")[::-1]) if rng.random() < 0.5 else c
+                     for c in conjuncts]
+    if conjuncts:
+        context.insert(0, f"FILTER({' && '.join(conjuncts)})")
+    return _pruning_query((triples, [], context), rng)
+
+
+_ONE_CLASS_CASES = {
+    **{f"{family} n={n}": _family_case(family, n)
+       for family in ("symmetric", "star", "filter", "objlist") for n in range(2, 6)},
+    **_TIED_STATE_CASES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_CLASS_CASES))
+def test_one_class_sequences_keep_global_minimum(name):
+    case = _ONE_CLASS_CASES[name]
+    expected = canonicalize(_one_class_query(case)).skeleton
+    assert expected == _oracle_minimum(_one_class_query(case))
+    rng = random.Random(name)
+    for _ in range(8):
+        assert canonicalize(_one_class_query(case, rng)).skeleton == expected
+
+
+def _branches(ast: QueryAst) -> int:
+    worker = _Canonicalizer(ast.prefixes(), 16)
+    worker.render_query(ast)
+    return worker.branches
+
+
+@pytest.mark.parametrize("family,branches_per_part,extra",
+                         [("symmetric", 2, 0), ("star", 2, 0),
+                          ("filter", 4, 2), ("objlist", 2, 0)])
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_branch_counts_of_the_adversarial_families(family, branches_per_part, extra, n):
+    ast = _one_class_query(_family_case(family, n))
+    assert _branches(ast) == branches_per_part * n + extra
+
+
+def test_tied_states_count_branches_of_nested_searches():
+    # the two tied states enter the one-class conjunction together; each
+    # ``||`` part is searched from each state alone, as the frontier does
+    ast = _one_class_query((["?{k0} ex:p ?{k1}", "?{k0} ex:p ?{k2}"],
+                            ["(?{k1} = ex:{k3} || ?{k4} = ex:{k5})",
+                             "(?{k1} = ex:{k3} || ?{k6} = ex:{k5})"], []))
+    assert _branches(ast) == 46
+
+
+def test_namer_copies_only_when_naming_a_new_slot():
+    empty = _Namer()
+    text, namer = empty.render([("var", "?x"), ":URI", ("blank", "b")])
+    assert text == "?v1 :URI _:b1"
+    assert namer is not empty and empty.key() == ((), ())
+    before = namer.key()
+    first, after_first = namer.render([("var", "?y"), ("var", "?x")])
+    second, after_second = namer.render([("blank", "c"), ("var", "?z")])
+    assert (first, second) == ("?v2 ?v1", "_:b2 ?v2")
+    assert namer.key() == before
+    assert after_first.key() == ((("?x", "?v1"), ("?y", "?v2")), (("b", "_:b1"),))
+    assert after_second.key() == ((("?x", "?v1"), ("?z", "?v2")),
+                                  (("b", "_:b1"), ("c", "_:b2")))
+    text, same = namer.render([("var", "?x"), ":URI", ("blank", "b")])
+    assert text == "?v1 :URI _:b1" and same is namer
