@@ -326,8 +326,6 @@ class _Namer:
 def _keep_min(candidates: list[tuple[str, object]], key=_Namer.key) -> tuple[str, list]:
     """The least text among ``(text, state)`` candidates and every state that
     renders it, the first of each ``key`` only, in candidate order."""
-    if len(candidates) == 1:
-        return candidates[0][0], [candidates[0][1]]
     low = min(text for text, _ in candidates)
     seen = set()
     kept = []
@@ -506,7 +504,9 @@ def render_in_source_order(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES
 
     This is the building block for brute-force oracles: the canonical
     skeleton must equal the minimum of this rendering over all permutations
-    of the orderable parts.
+    of the orderable parts.  It counts branches as the search does for a
+    sequence of one class, so it too raises CanonicalizationLimitExceeded
+    past ``_BRANCH_CAP``.
     """
     worker = _Canonicalizer(ast.prefixes(), max_triples, search=False)
     return worker.render_query(ast)
