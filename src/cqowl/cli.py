@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         raise
     try:
         return _dispatch(args)
-    except (AnnotationError, CorpusError, FileNotFoundError, FlagError) as exc:
+    except (AnnotationError, CorpusError, FlagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -295,6 +295,8 @@ def load_dataset_dir(root: Path) -> Corpus:
             manifest = json.loads(read_text(manifest_path))
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CorpusError(f"{manifest_path}: expected a JSON object")
         name = manifest.get("ontology")
         prefixes = manifest.get("prefixes", {})
         if not isinstance(name, str) or not name:

@@ -345,13 +345,12 @@ def builtin_annotate(text: str) -> list[TokenAnnotation]:
 def read_conllu(path: Path) -> list[list[TokenAnnotation]]:
     """Read a 10-column CoNLL-U file into sentences of annotations."""
     sentences: list[list[TokenAnnotation]] = []
-    current: list[tuple[str, str, int, str]] = []
+    current: list[tuple[str, str, int, str, int]] = []
     try:
         lines = read_text(Path(path)).splitlines()
     except CorpusError as exc:
         raise AnnotationError(str(exc)) from exc
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip("\n")
         if not line.strip():
             if current:
                 sentences.append(_finish_conllu_sentence(path, current))

@@ -854,8 +854,6 @@ def keyword_report(corpus) -> tuple[list[dict], list[tuple[str, str]]]:
     for qid, ast in asts.items():
         onto = onto_of[qid]
         for kw in keyword_presence(ast):
-            if kw not in totals:
-                continue
             totals[kw] += 1
             per_onto[kw][onto] = per_onto[kw].get(onto, 0) + 1
     order = {kw: i for i, kw in enumerate(KEYWORD_INVENTORY)}

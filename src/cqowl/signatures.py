@@ -7,13 +7,13 @@ vocabulary stays concrete), placeholder ``$`` variables also become
 ``:LIT`` (keeping the datatype), and variables / labeled blank nodes are
 renamed canonically.
 
-The canonical skeleton is the lexicographically smallest rendering over all
-permutations of triples inside each BGP, conjuncts inside each FILTER, and
-operand orders of ``=``/``!=`` comparisons, with ``?v1``/``_:b1``-style
-names assigned in first-occurrence order per candidate.  The minimum is
-found by a greedy best-first walk that branches on exact rendering ties, so
-it equals the brute-force minimum while staying cheap on asymmetric
-queries.
+Abstraction fixes all skeleton text.  The search chooses only the order
+of the orderable parts (the triples of a BGP, the operands of ``&&``/``||``
+and of ``=``/``!=``), with ``?v1``/``_:b1``-style names assigned in
+first-occurrence order per candidate.  The canonical skeleton is the least
+rendering over all those orders.  The minimum is found by a greedy
+best-first walk that branches on exact rendering ties, so it equals the
+brute-force minimum while staying cheap on asymmetric queries.
 
 Parts equal up to renaming slots used nowhere else render alike in any
 order, so each class of them is tried in one order only (a sequence of one
@@ -81,11 +81,12 @@ class Signature(Record):
 
 
 # ---------------------------------------------------------------------------
-# Abstraction: AST -> token trees with named slots
+# Abstraction: AST -> nodes that carry their final skeleton text
 #
-# A token tree is a list whose entries are either fixed strings or slot
-# markers ("var", key) / ("blank", key); the key is the source name so that
-# repeated occurrences share one canonical name later.
+# A leaf (a triple template or a term) is a token list whose entries are
+# fixed strings or slot markers ("var", key) / ("blank", key); the key is the
+# source name so that repeated occurrences share one canonical name later.
+# Every other node is a ``_Node``.
 
 
 def _abstract_term(term, prefixes: dict[str, str]) -> list:
@@ -183,8 +184,8 @@ def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
 
 def _abstract_pattern(item: GraphPattern, prefixes, max_triples: int) -> "_Node":
     if isinstance(item, Group):
-        return _Node("group", children=[
-            _abstract_pattern(child, prefixes, max_triples) for child in item.items])
+        children = [_abstract_pattern(child, prefixes, max_triples) for child in item.items]
+        return _Node("{\n", "\n", "\n}", children=children) if children else _Node("{\n}")
     if isinstance(item, Bgp):
         templates = _flatten_triples(item, prefixes)
         if len(templates) > max_triples:
@@ -192,82 +193,89 @@ def _abstract_pattern(item: GraphPattern, prefixes, max_triples: int) -> "_Node"
                 f"BGP has {len(templates)} triples, over the bound of "
                 f"{max_triples}"
             )
-        return _Node("bgp", children=[_Node("tokens", tokens=t) for t in templates])
+        return _Node(sep="\n", order="seq", children=templates)
     if isinstance(item, Filter):
-        return _Node("filter", children=[_abstract_expr(item.expr, prefixes)])
+        return _Node("FILTER(", suffix=")",
+                     children=[_abstract_expr(item.expr, prefixes, top=True)])
     if isinstance(item, NotExists):
-        return _Node("not_exists", children=[
+        return _Node("FILTER NOT EXISTS ", children=[
             _abstract_pattern(item.pattern, prefixes, max_triples)])
     if isinstance(item, Bind):
-        return _Node("bind", children=[
-            _abstract_expr(item.expr, prefixes),
-            _Node("tokens", tokens=_abstract_term(item.var, prefixes))])
+        return _Node("BIND(", " AS ", ")", children=[
+            _abstract_expr(item.expr, prefixes), _abstract_term(item.var, prefixes)])
     if isinstance(item, UnionPattern):
-        return _Node("union", children=[
+        return _Node(sep=" UNION ", children=[
             _abstract_pattern(item.left, prefixes, max_triples),
             _abstract_pattern(item.right, prefixes, max_triples)])
     raise TypeError(f"unknown graph pattern {item!r}")
 
 
-def _abstract_expr(expr: Expr, prefixes) -> "_Node":
+def _abstract_expr(expr: Expr, prefixes, top: bool = False) -> "_Node | list":
+    """``expr`` abstracted; ``top`` marks a FILTER's own expression, whose
+    ``&&`` or ``||`` gets no parentheses."""
     if isinstance(expr, Paren):
-        return _abstract_expr(expr.inner, prefixes)
+        return _abstract_expr(expr.inner, prefixes, top)
     if isinstance(expr, Compare):
-        return _Node(
-            "cmp", op=expr.op,
-            children=[_abstract_expr(expr.left, prefixes),
-                      _abstract_expr(expr.right, prefixes)],
-        )
-    if isinstance(expr, And):
-        return _Node("and", children=[_abstract_expr(p, prefixes) for p in expr.parts])
-    if isinstance(expr, Or):
-        return _Node("or", children=[_abstract_expr(p, prefixes) for p in expr.parts])
+        if expr.op not in ("=", "!="):
+            raise TypeError(f"unexpected comparison {expr.op}")
+        return _Node(sep=f" {expr.op} ", order="pair",
+                     children=[_abstract_expr(expr.left, prefixes),
+                               _abstract_expr(expr.right, prefixes)])
+    if isinstance(expr, (And, Or)):
+        sep = " && " if isinstance(expr, And) else " || "
+        return _Node("" if top else "(", sep, "" if top else ")", order="seq",
+                     children=[_abstract_expr(p, prefixes) for p in expr.parts])
     if isinstance(expr, In):
-        return _Node(
-            "in",
-            children=[_abstract_expr(expr.needle, prefixes)]
-            + [_abstract_expr(o, prefixes) for o in expr.options],
-        )
+        return _Node(sep=" IN ", children=[
+            _abstract_expr(expr.needle, prefixes),
+            _Node("(", ", ", ")", children=[_abstract_expr(o, prefixes)
+                                            for o in expr.options])])
     if isinstance(expr, FnCall):
         name = expr.name if isinstance(expr.name, str) \
             else "".join(_abstract_term(expr.name, prefixes))
-        return _Node("fn", op=name,
+        return _Node(name + "(", ", ", ")",
                      children=[_abstract_expr(a, prefixes) for a in expr.args])
     if isinstance(expr, Arith):
-        return _Node("arith", op=expr.op,
+        return _Node("(", f" {expr.op} ", ")",
                      children=[_abstract_expr(expr.left, prefixes),
                                _abstract_expr(expr.right, prefixes)])
     if isinstance(expr, TermRef):
-        return _Node("tokens", tokens=_abstract_term(expr.term, prefixes))
+        return _abstract_term(expr.term, prefixes)
     raise TypeError(f"unknown expression {expr!r}")
 
 
 class _Node:
-    """An abstracted graph pattern or expression; a ``"tokens"`` leaf holds
-    one token list (a triple template or a term), other kinds ``children``."""
+    """An abstracted graph pattern or expression with its final text: it
+    renders as ``prefix + sep.join(children) + suffix``, its children in
+    source order (``"fixed"``), their least order (``"seq"``) or the lesser
+    of their two orders (``"pair"``).  Leaves stay bare token lists: one more
+    object per triple made each canonicalization measurably slower."""
 
-    __slots__ = ("kind", "op", "children", "tokens")
+    __slots__ = ("prefix", "sep", "suffix", "order", "children")
 
-    def __init__(self, kind, op=None, children=(), tokens=()):
-        self.kind = kind
-        self.op = op
+    def __init__(self, prefix="", sep="", suffix="", order="fixed", children=()):
+        self.prefix = prefix
+        self.sep = sep
+        self.suffix = suffix
+        self.order = order
         self.children = children
-        self.tokens = tokens
 
 
-def _count_slots(node: _Node, counts: dict) -> dict:
+def _count_slots(node, counts: dict) -> dict:
     """Add the occurrences of every slot in ``node`` and below to ``counts``."""
     stack = [node]
     while stack:
         node = stack.pop()
-        for tok in node.tokens:
-            if isinstance(tok, tuple):
-                counts[tok] = counts.get(tok, 0) + 1
-        stack.extend(node.children)
+        if type(node) is list:
+            for tok in node:
+                if isinstance(tok, tuple):
+                    counts[tok] = counts.get(tok, 0) + 1
+        else:
+            stack.extend(node.children)
     return counts
 
 
-def _class_key(part: _Node, totals: dict) -> tuple:
+def _class_key(part, totals: dict) -> tuple:
     """``part``'s structure with its private slots (by the query-wide
     ``totals``, they occur nowhere else) numbered by first occurrence.
     Parts with equal keys differ only by a renaming of private slots."""
@@ -277,12 +285,15 @@ def _class_key(part: _Node, totals: dict) -> tuple:
     stack = [part]
     while stack:
         node = stack.pop()
-        key.append((node.kind, node.op, len(node.tokens), len(node.children)))
-        for tok in node.tokens:
-            if isinstance(tok, tuple) and local[tok] == totals[tok]:
-                tok = renamed.setdefault(tok, (tok[0], len(renamed)))
-            key.append(tok)
-        stack.extend(node.children)
+        if type(node) is list:
+            key.append(len(node))
+            for tok in node:
+                if isinstance(tok, tuple) and local[tok] == totals[tok]:
+                    tok = renamed.setdefault(tok, (tok[0], len(renamed)))
+                key.append(tok)
+        else:
+            key.append((node.prefix, node.sep, node.suffix, node.order, len(node.children)))
+            stack.extend(node.children)
     return tuple(key)
 
 
@@ -376,7 +387,7 @@ class _Canonicalizer:
         body, _states = self._render(where, [_Namer()])
         return header + " WHERE " + body
 
-    def _classes(self, parts: list[_Node]) -> list[list[_Node]]:
+    def _classes(self, parts: list) -> list[list]:
         """``parts`` grouped into classes of interchangeable parts, in source
         order."""
         classes: dict = {}
@@ -391,45 +402,25 @@ class _Canonicalizer:
                 "too many symmetric orderings during canonicalization"
             )
 
-    def _render(self, node: _Node, states: list[_Namer],
-                top: bool = False) -> tuple[str, list[_Namer]]:
-        kind = node.kind
-        if kind == "tokens":
+    def _render(self, node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
+        if type(node) is list:  # a leaf
             if len(states) == 1:  # nothing to compare
-                text, state = states[0].render(node.tokens)
+                text, state = states[0].render(node)
                 return text, [state]
-            return _keep_min([state.render(node.tokens) for state in states])
-        if kind == "bgp":
-            return self._min_sequence(node.children, states, "\n")
-        if kind in ("and", "or"):
-            sep = " && " if kind == "and" else " || "
-            text, out = self._min_sequence(node.children, states, sep)
-            return (text if top else "(" + text + ")"), out
-        if kind == "cmp":
-            return self._render_commutative_pair(node, states)
-        texts = []
-        for child in node.children:
-            text, states = self._render(child, states, top=kind == "filter")
-            texts.append(text)
-        if kind == "group":
-            return "\n".join(["{", *texts, "}"]), states
-        if kind == "filter":
-            return "FILTER(" + texts[0] + ")", states
-        if kind == "not_exists":
-            return "FILTER NOT EXISTS " + texts[0], states
-        if kind == "bind":
-            return f"BIND({texts[0]} AS {texts[1]})", states
-        if kind == "union":
-            return texts[0] + " UNION " + texts[1], states
-        if kind == "in":
-            return f"{texts[0]} IN ({', '.join(texts[1:])})", states
-        if kind == "fn":
-            return f"{node.op}({', '.join(texts)})", states
-        if kind == "arith":
-            return f"({texts[0]} {node.op} {texts[1]})", states
-        raise TypeError(f"unknown node kind {kind}")
+            return _keep_min([state.render(node) for state in states])
+        if node.order == "seq":
+            text, states = self._min_sequence(node.children, states, node.sep)
+        elif node.order == "pair":
+            text, states = self._render_commutative_pair(node, states)
+        else:
+            texts = []
+            for child in node.children:
+                text, states = self._render(child, states)
+                texts.append(text)
+            text = node.sep.join(texts)
+        return node.prefix + text + node.suffix, states
 
-    def _min_sequence(self, parts: list[_Node], states: list[_Namer],
+    def _min_sequence(self, parts: list, states: list[_Namer],
                       sep: str) -> tuple[str, list[_Namer]]:
         """Minimal rendering of an orderable list, over all states."""
         if not parts:
@@ -478,8 +469,6 @@ class _Canonicalizer:
         return sep.join(emitted), [nm for _, nm in frontier]
 
     def _render_commutative_pair(self, node: _Node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
-        if node.op not in ("=", "!="):
-            raise TypeError(f"unexpected comparison {node.op}")
         orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)
         candidates: list[tuple[str, _Namer]] = []
         for state in states:
@@ -488,7 +477,7 @@ class _Canonicalizer:
                 left, mids = self._render(node.children[first], [state])
                 for mid in mids:
                     right, outs = self._render(node.children[second], [mid])
-                    candidates.extend((f"{left} {node.op} {right}", out) for out in outs)
+                    candidates.extend((f"{left}{node.sep}{right}", out) for out in outs)
         return _keep_min(candidates)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -386,3 +387,92 @@ def test_unreadable_corpus_exit_1_naming_the_file(tmp_path, capsys, monkeypatch,
     assert run(command, "--corpus", corpus, "--format", layout, "--out", "out") == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below_a_file", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["keywords", "report"])
+def test_unusable_out_exit_1_naming_the_path(tmp_path, capsys, command, below_a_file):
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "sub" if below_a_file else blocker
+    assert run(command, "--corpus", CORPUS_PATH, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+GOOD_RECORD = {"id": "q1", "ontology": "AWO", "cq": "Which plants eat animals?"}
+
+
+@pytest.mark.parametrize("layout, bad, content, message", [
+    ("jsonl", None, ["q2"], "{corpus}:2: expected an object"),
+    ("jsonl", None, {**GOOD_RECORD, "id": "q2", "extra": 1},
+     "{corpus}:2: unknown field(s) ['extra']"),
+    ("jsonl", None, {"id": "q2", "ontology": "AWO"}, "{corpus}:2: missing field 'cq'"),
+    ("jsonl", None, {**GOOD_RECORD, "id": ""},
+     "{corpus}:2: field 'id' must be a nonempty string"),
+    ("jsonl", None, {**GOOD_RECORD, "id": "q2", "ontology": 5},
+     "{corpus}:2: field 'ontology' must be a nonempty string"),
+    ("jsonl", None, {**GOOD_RECORD, "id": "q2", "cq": ""},
+     "{corpus}:2: field 'cq' must be a nonempty string"),
+    ("jsonl", None, {**GOOD_RECORD, "id": "q2", "query": 5},
+     "{corpus}:2: field 'query' must be a string"),
+    ("jsonl", None, {**GOOD_RECORD, "id": "q2", "answers": "x"},
+     "{corpus}:2: field 'answers' must be a list of strings"),
+    ("jsonl", None, {**GOOD_RECORD, "id": "q2", "answers": ["x", 1]},
+     "{corpus}:2: field 'answers' must be a list of strings"),
+    ("dataset_dir", "", None, "{corpus} is not a directory"),
+    ("dataset_dir", "awo/manifest.json", "{oops", "{corpus}/awo/manifest.json: invalid JSON"),
+    ("dataset_dir", "awo/manifest.json", '["AWO"]',
+     "{corpus}/awo/manifest.json: expected a JSON object"),
+    ("dataset_dir", "awo/manifest.json", '{"ontology": ""}',
+     "{corpus}/awo/manifest.json: 'ontology' must be a nonempty string"),
+    ("dataset_dir", "awo/manifest.json", '{"ontology": "AWO", "prefixes": ["awo"]}',
+     "{corpus}/awo/manifest.json: 'prefixes' must be an object"),
+    ("dataset_dir", "awo/questions", None, "{corpus}/awo: missing questions/ directory"),
+    ("dataset_dir", "awo/questions/q1.txt", "Which [plants eat animals?",
+     "{corpus}/awo/questions/q1.txt: unclosed '[' at offset 6"),
+], ids=["not-an-object", "unknown-field", "missing-cq", "empty-id", "int-ontology",
+        "empty-cq", "int-query", "answers-string", "answers-int", "root-not-a-directory",
+        "manifest-not-json", "manifest-not-an-object", "empty-ontology",
+        "prefixes-not-an-object", "no-questions-directory", "unclosed-bracket"])
+def test_malformed_corpus_exit_1_naming_file_line_and_field(tmp_path, capsys, layout,
+                                                            bad, content, message):
+    if layout == "jsonl":
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(content) + "\n",
+                          encoding="utf-8")
+    else:
+        corpus = tmp_path / "dataset"
+        (corpus / "awo" / "questions").mkdir(parents=True)
+        (corpus / "awo" / "manifest.json").write_text('{"ontology": "AWO"}',
+                                                      encoding="utf-8")
+        (corpus / "awo" / "questions" / "q1.txt").write_text(
+            "Which plants eat animals?\n", encoding="utf-8")
+        path = corpus / bad
+        if content is None:  # the directory goes; an empty file takes the root's place
+            shutil.rmtree(path)
+            if path == corpus:
+                path.write_text("", encoding="utf-8")
+        else:
+            path.write_text(content, encoding="utf-8")
+    assert run("validate", "--corpus", corpus, "--format", layout) == 1
+    assert capsys.readouterr().err.startswith("error: " + message.format(corpus=corpus))
+
+
+def test_stoplist_file_drops_ngrams_of_only_its_words(tmp_path):
+    def discovered(out, *flags):
+        assert run("signals", "--corpus", CORPUS_PATH, "--out", out,
+                   "--emit", "csv", *flags) == 0
+        rows = (out / "discovered_signals.csv").read_text(encoding="utf-8").splitlines()
+        return {row.split(",", 1)[0] for row in rows[1:]}
+
+    before = discovered(tmp_path / "default")
+    assert {"are necessary", "necessary", "are necessary for"} <= before
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("  Necessary \n\nARE\n", encoding="utf-8")
+    after = discovered(tmp_path / "custom", "--stoplist", stoplist)
+    assert not {"are necessary", "necessary", "are"} & after
+    # a word outside the list keeps its n-grams, and the list replaces the
+    # default one, whose words count again
+    assert "are necessary for" in after and "for" in after - before

@@ -8,6 +8,7 @@ from cqowl.queryparse import (
     Bgp,
     BlankPropertyList,
     Filter,
+    KEYWORD_INVENTORY,
     PathAtom,
     PathSequence,
     PathZeroOrMore,
@@ -218,6 +219,13 @@ def test_keyword_presence_resolved_iris():
 
 def test_keyword_presence_minimal_ask():
     assert keyword_presence(parse_query("ASK WHERE { }")) == {"WHERE", "ASK"}
+
+
+def test_keyword_presence_stays_inside_the_inventory(corpus):
+    asts, _ = corpus.parse_queries()
+    assert len(asts) == 131
+    for ast in asts.values():
+        assert keyword_presence(ast) <= set(KEYWORD_INVENTORY)
 
 
 def test_roundtrip_preserves_predicate_object_grouping():

@@ -141,6 +141,71 @@ def test_single_query_group():
     assert coverage_table(groups)[0]["cumulative_pct"] == 100.0
 
 
+# The bundled corpus has no ``||`` and one IN, BIND and arithmetic
+# expression each, and every oracle renders through the canonicalizer's own
+# renderer; so the skeleton text of each node kind is pinned here.
+_NODE_KIND_SKELETONS = {
+    "empty group": ("ASK WHERE { }", "ASK WHERE {\n}"),
+    "a": ("ASK { ?x a ex:C }", "ASK WHERE {\n?v1 a :URI .\n}"),
+    "rdf:type": ("ASK { ?x rdf:type ex:C }", "ASK WHERE {\n?v1 a :URI .\n}"),
+    "or in filter": (
+        "SELECT * WHERE { ?x a ex:C FILTER(?x = ex:a || ex:b = ?x) }",
+        "SELECT * WHERE {\n?v1 a :URI .\nFILTER(:URI = ?v1 || :URI = ?v1)\n}"),
+    "or in and": (
+        "SELECT * WHERE { ?x a ex:C FILTER(?x != ex:a && (?x = ex:b || ?x = ex:c)) }",
+        "SELECT * WHERE {\n?v1 a :URI .\n"
+        "FILTER((:URI = ?v1 || :URI = ?v1) && :URI != ?v1)\n}"),
+    "and in or": (
+        "SELECT * WHERE { ?x a ex:C FILTER(?x = ex:a || ?x != ex:b && ?x != ex:c) }",
+        "SELECT * WHERE {\n?v1 a :URI .\n"
+        "FILTER((:URI != ?v1 && :URI != ?v1) || :URI = ?v1)\n}"),
+    "or as operand": (
+        "SELECT * WHERE { ?x ex:p ?y FILTER((?x || ?y) = ?x) }",
+        "SELECT * WHERE {\n?v1 :URI ?v2 .\nFILTER((?v1 || ?v2) = ?v1)\n}"),
+    "in": (
+        "SELECT * WHERE { ?x a ex:C FILTER(?x IN (ex:a, ?x, ex:b)) }",
+        "SELECT * WHERE {\n?v1 a :URI .\nFILTER(?v1 IN (:URI, ?v1, :URI))\n}"),
+    "call and cast": (
+        'SELECT * WHERE { ?x ex:p ?y FILTER(STRSTARTS(?x, "a") '
+        '&& xsd:integer(?y) = "1"^^xsd:integer) }',
+        "SELECT * WHERE {\n?v1 :URI ?v2 .\n"
+        "FILTER(:LIT^^xsd:integer = xsd:integer(?v2) && STRSTARTS(?v1, :LIT))\n}"),
+    "arithmetic": (
+        "SELECT * WHERE { ?x ex:p ?y . ?x ex:q ?z FILTER(?y + ?z = ?z - ?y) }",
+        "SELECT * WHERE {\n?v1 :URI ?v2 .\n?v1 :URI ?v3 .\n"
+        "FILTER((?v2 + ?v3) = (?v3 - ?v2))\n}"),
+    "bind": (
+        "SELECT * WHERE { ?x a ex:C . BIND(now() AS ?t) }",
+        "SELECT * WHERE {\n?v1 a :URI .\nBIND(now() AS ?v2)\n}"),
+    "two-way union": (
+        "SELECT * WHERE { { ?x a ex:C } UNION { ?x a ex:D } }",
+        "SELECT * WHERE {\n{\n?v1 a :URI .\n} UNION {\n?v1 a :URI .\n}\n}"),
+    "three-way union": (
+        "SELECT * WHERE { { ?x a ex:C } UNION { ?x ex:p ?y } UNION { ?y a ex:D } }",
+        "SELECT * WHERE {\n{\n{\n?v1 a :URI .\n} UNION {\n?v1 :URI ?v2 .\n}\n}"
+        " UNION {\n?v2 a :URI .\n}\n}"),
+    "not exists": (
+        "SELECT * WHERE { ?x a ex:C FILTER NOT EXISTS { ?x ex:p ?y FILTER(?y != ex:a) } }",
+        "SELECT * WHERE {\n?v1 a :URI .\n"
+        "FILTER NOT EXISTS {\n?v1 :URI ?v2 .\nFILTER(:URI != ?v2)\n}\n}"),
+    "paths, collection and literals": (
+        'SELECT ?x WHERE { ?x rdfs:subClassOf* ?y . ?y ex:p/ex:q ( ex:a ?z ) . '
+        '?z ex:r "3"^^xsd:integer, "cat"@en }',
+        "SELECT ?proj WHERE {\n?v1 :URI / :URI ( :URI ?v2 ) .\n?v2 :URI :LIT .\n"
+        "?v2 :URI :LIT^^xsd:integer .\n?v3 rdfs:subClassOf * ?v1 .\n}"),
+    "two filters": (
+        "SELECT * WHERE { ?x ex:p ?y FILTER(?x != ?y) FILTER(?y != ex:a) }",
+        "SELECT * WHERE {\n?v1 :URI ?v2 .\nFILTER(?v1 != ?v2)\nFILTER(:URI != ?v2)\n}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_KIND_SKELETONS))
+def test_skeleton_text_of_each_node_kind(name):
+    query, skeleton = _NODE_KIND_SKELETONS[name]
+    assert canonicalize(parse_query(query, PREFIXES)).skeleton == skeleton
+
+
+
 # ---------------------------------------------------------------------------
 # randomized invariance suite (acceptance criterion: 1000 trials) and the
 # brute-force global-minimum oracle
