@@ -29,6 +29,14 @@ class CorpusError(ValueError):
     """Structural problem in a corpus file; message carries file/line/field."""
 
 
+class DuplicateError(CorpusError):
+    """A name repeated in a :class:`Corpus` field, at ``first`` and ``second``."""
+
+    def __init__(self, message: str, field: str, first: int, second: int):
+        super().__init__(message)
+        self.field, self.first, self.second = field, first, second
+
+
 class AnnotationError(ValueError):
     """Raised for empty input, bad CoNLL-U data, or mismatched text.
 
@@ -75,20 +83,13 @@ class Corpus(Record, frozen=False):
 
     def __post_init__(self):
         # indexes derived from the two fields, so they are not fields
-        self._onto_by_name: dict[str, OntologyId] = {}
-        for onto in self.ontologies:
-            if onto.short_name in self._onto_by_name:
-                raise CorpusError(f"duplicate ontology {onto.short_name!r}")
-            self._onto_by_name[onto.short_name] = onto
-        self._by_id: dict[str, CompetencyQuestion] = {}
+        self._onto_by_name = _index(self.ontologies, "short_name", "ontologies", "ontology")
+        self._by_id = _index(self.questions, "id", "questions", "CQ id")
         for q in self.questions:
-            if q.id in self._by_id:
-                raise CorpusError(f"duplicate CQ id {q.id!r}")
             if q.ontology not in self._onto_by_name:
                 raise CorpusError(
                     f"CQ {q.id!r} references unknown ontology {q.ontology!r}"
                 )
-            self._by_id[q.id] = q
 
     def question(self, cq_id: str) -> CompetencyQuestion:
         return self._by_id[cq_id]
@@ -122,6 +123,16 @@ class Corpus(Record, frozen=False):
             except QueryParseError as exc:
                 errors.append((q.id, str(exc)))
         return asts, errors
+
+
+def _index(items: list, attr: str, field: str, what: str) -> dict:
+    """``items`` by their ``attr``, which must not repeat."""
+    first: dict = {}
+    for i, item in enumerate(items):
+        key = getattr(item, attr)
+        if first.setdefault(key, i) != i:
+            raise DuplicateError(f"duplicate {what} {key!r}", field, first[key], i)
+    return {key: items[i] for key, i in first.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +176,16 @@ def _require_word(cq_text: str, where: str) -> None:
     have nothing to work on in, say, a bare ``?``."""
     if not _WORD_CHAR.search(cq_text):
         raise CorpusError(f"{where}: field 'cq' has no word: {cq_text!r}")
+
+
+def _located_corpus(ontologies: list, questions: list, where: dict) -> Corpus:
+    """``Corpus(...)``, naming both places of a repeat from ``where[field]``."""
+    try:
+        return Corpus(ontologies, questions)
+    except DuplicateError as exc:
+        places = where[exc.field]
+        raise CorpusError(f"{places[exc.second]}: {exc} "
+                          f"(first at {places[exc.first]})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +233,7 @@ def load_jsonl(path: Path) -> Corpus:
     else:
         prefix_tables = default_prefix_tables()
     questions: list[CompetencyQuestion] = []
+    lines: list[str] = []
     names: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -258,11 +280,12 @@ def load_jsonl(path: Path) -> Corpus:
                 query, tuple(answers),
             )
         )
+        lines.append(f"{path}:{lineno}")
     try:
         ontologies = [_ontology_from_tables(n, prefix_tables) for n in names]
     except CorpusError as exc:
         raise CorpusError(f"{tables_path}: {exc}") from exc
-    return Corpus(ontologies, questions)
+    return _located_corpus(ontologies, questions, {"questions": lines})
 
 
 def save_jsonl(corpus: Corpus, path: Path) -> None:
@@ -287,6 +310,7 @@ def load_dataset_dir(root: Path) -> Corpus:
         raise CorpusError(f"{root} is not a directory")
     ontologies: list[OntologyId] = []
     questions: list[CompetencyQuestion] = []
+    where: dict[str, list[str]] = {"ontologies": [], "questions": []}
     for onto_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         manifest_path = onto_dir / "manifest.json"
         if not manifest_path.exists():
@@ -307,6 +331,7 @@ def load_dataset_dir(root: Path) -> Corpus:
             ontologies.append(OntologyId(name, tuple(sorted(prefixes.items()))))
         except CorpusError as exc:
             raise CorpusError(f"{manifest_path}: {exc}") from exc
+        where["ontologies"].append(str(manifest_path))
         qdir = onto_dir / "questions"
         if not qdir.is_dir():
             raise CorpusError(f"{onto_dir}: missing questions/ directory")
@@ -325,7 +350,8 @@ def load_dataset_dir(root: Path) -> Corpus:
             questions.append(
                 CompetencyQuestion(cq_id, name, text, spans, query)
             )
-    return Corpus(ontologies, questions)
+            where["questions"].append(str(qfile))
+    return _located_corpus(ontologies, questions, where)
 
 
 def load_corpus(path: Path, format: str = "jsonl") -> Corpus:

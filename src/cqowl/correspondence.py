@@ -13,6 +13,7 @@ witness anything about query structure.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -96,7 +97,8 @@ class SignalRule(Record):
     (pattern-level text; EC/PC/NUM act as slot wildcards and ``a/b`` tokens
     are alternations).  ``target_kind``: ``verb``, ``keyword`` or
     ``skeleton``; a skeleton target carries an exemplar query whose
-    canonical form defines the expected signature.
+    canonical form defines the expected signature.  A rule checks its own
+    fields when it is made, so the matchers below trust them.
     """
 
     id: str
@@ -104,6 +106,19 @@ class SignalRule(Record):
     matcher_value: tuple[str, ...]  # words of the class, or phrase tokens
     target_kind: str
     target_value: str
+
+    def __post_init__(self):
+        words = self.matcher_value
+        if not (isinstance(self.id, str) and isinstance(self.target_value, str)
+                and isinstance(words, tuple) and words
+                and all(isinstance(w, str) for w in words)):
+            raise ValueError("id and target_value must be strings, "
+                             "matcher_value a nonempty tuple of strings")
+        for name, value, known in (("matcher_kind", self.matcher_kind, _MATCHER_KINDS),
+                                   ("target_kind", self.target_kind, _TARGET_KINDS)):
+            if value not in known:
+                raise ValueError(f"unknown {name} {value!r}, "
+                                 f"expected one of {', '.join(known)}")
 
     def describe_signal(self) -> str:
         if self.matcher_kind == "initial_word_class":
@@ -164,34 +179,14 @@ def rule_matches(rule: SignalRule, raw_text: str, pattern_text: str) -> bool:
         return bool(words) and words[0] in {w.lower() for w in rule.matcher_value}
     if rule.matcher_kind == "contains_word":
         return rule.matcher_value[0].lower() in cq_words(raw_text)
-    if rule.matcher_kind == "contains_phrase":
-        return phrase_matches(rule.matcher_value, pattern_text)
-    raise ValueError(f"unknown matcher kind {rule.matcher_kind!r}")
+    return phrase_matches(rule.matcher_value, pattern_text)
 
 
-def _exemplar_skeleton(rule: SignalRule) -> str:
-    """Canonical skeleton of a skeleton rule's exemplar query."""
-    exemplar = parse_query(rule.target_value, {"": "http://example.org/sig#"})
+@lru_cache
+def _exemplar_skeleton(text: str) -> str:
+    """Canonical skeleton of an exemplar query, parsed once per text."""
+    exemplar = parse_query(text, {"": "http://example.org/sig#"})
     return canonicalize(exemplar).skeleton
-
-
-def _target_satisfied(
-    rule: SignalRule,
-    ast: QueryAst,
-    skeleton: Optional[str],
-    keywords: Optional[set[str]],
-    skeleton_cache: dict[str, str],
-) -> bool:
-    if rule.target_kind == "verb":
-        return ast.verb == rule.target_value
-    if rule.target_kind == "keyword":
-        return rule.target_value in keywords
-    if rule.target_kind == "skeleton":
-        expected = skeleton_cache.get(rule.id)
-        if expected is None:
-            expected = skeleton_cache[rule.id] = _exemplar_skeleton(rule)
-        return skeleton == expected
-    raise ValueError(f"unknown target kind {rule.target_kind!r}")
 
 
 def mine_signals(
@@ -206,7 +201,6 @@ def mine_signals(
     target.  Rows whose subgroup has size 1 or less are flagged as
     non-evidential; whether a link is meaningful stays a human call.
     """
-    skeleton_cache: dict[str, str] = {}
     # keyword presence per row, computed when a keyword rule first needs it
     keywords: list[Optional[set[str]]] = [None] * len(translated)
     out = []
@@ -217,10 +211,14 @@ def mine_signals(
             if not rule_matches(rule, raw, pattern_text):
                 continue
             denominator += 1
-            if rule.target_kind == "keyword" and keywords[i] is None:
-                keywords[i] = keyword_presence(ast)
-            if _target_satisfied(rule, ast, skeleton, keywords[i], skeleton_cache):
-                numerator += 1
+            if rule.target_kind == "verb":
+                numerator += ast.verb == rule.target_value
+            elif rule.target_kind == "keyword":
+                if keywords[i] is None:
+                    keywords[i] = keyword_presence(ast)
+                numerator += rule.target_value in keywords[i]
+            else:
+                numerator += skeleton == _exemplar_skeleton(rule.target_value)
         out.append(
             SignalRow(
                 rule.id,
@@ -303,42 +301,24 @@ BUILTIN_RULES: tuple[SignalRule, ...] = (
 
 
 def load_rules(path: Path) -> list[SignalRule]:
-    """Load signal rules from a JSON file (list of rule objects)."""
+    """Load signal rules from a JSON file (list of rule objects).  A rule
+    checks its own fields; this checks what JSON adds (a string
+    ``matcher_value`` would split into letters) and skeleton exemplars."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON list of rules")
     rules = []
     for i, obj in enumerate(raw):
         try:
-            rules.append(
-                SignalRule(
-                    obj["id"],
-                    obj["matcher_kind"],
-                    tuple(obj["matcher_value"]),
-                    obj["target_kind"],
-                    obj["target_value"],
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            if not (isinstance(obj, dict) and isinstance(obj.get("matcher_value"), list)):
+                raise ValueError("expected an object whose matcher_value is a list")
+            rule = SignalRule(obj["id"], obj["matcher_kind"], tuple(obj["matcher_value"]),
+                              obj["target_kind"], obj["target_value"])
+            if rule.target_kind == "skeleton":
+                _exemplar_skeleton(rule.target_value)
+        except (KeyError, ValueError, CanonicalizationLimitExceeded) as exc:
             raise ValueError(f"{path}: rule #{i} malformed: {exc}") from exc
-        rule = rules[-1]
-        words = obj["matcher_value"]
-        if not (isinstance(rule.id, str) and isinstance(rule.target_value, str)
-                and isinstance(words, list) and words
-                and all(isinstance(w, str) for w in words)):
-            raise ValueError(f"{path}: rule #{i}: id and target_value must be "
-                             "strings, matcher_value a nonempty list of strings")
-        for name, value, known in (("matcher_kind", rule.matcher_kind, _MATCHER_KINDS),
-                                   ("target_kind", rule.target_kind, _TARGET_KINDS)):
-            if value not in known:
-                raise ValueError(f"{path}: rule #{i}: unknown {name} {value!r}, "
-                                 f"expected one of {', '.join(known)}")
-        if rule.target_kind == "skeleton":
-            try:
-                _exemplar_skeleton(rule)
-            except (ValueError, CanonicalizationLimitExceeded) as exc:
-                raise ValueError(f"{path}: rule #{i}: skeleton target_value "
-                                 f"is not a usable query: {exc}") from exc
+        rules.append(rule)
     return rules
 
 

@@ -381,6 +381,7 @@ def read_conllu(path: Path) -> list[list[TokenAnnotation]]:
 
 
 def _finish_conllu_sentence(path, rows) -> list[TokenAnnotation]:
+    """A sentence's tokens, once every HEAD is in range and one is the root."""
     tokens = []
     for i, (form, upos, head, deprel, lineno) in enumerate(rows):
         head_idx = i if head == 0 else head - 1
@@ -390,10 +391,10 @@ def _finish_conllu_sentence(path, rows) -> list[TokenAnnotation]:
             TokenAnnotation(i, form, upos, head_idx, deprel,
                             form.startswith("[") and form.endswith("]"))
         )
-    try:
-        _validate_tokens(tokens)
-    except AnnotationError as exc:
-        raise AnnotationError(f"{path}: sentence at line {rows[0][4]}: {exc}") from exc
+    roots = sum(1 for t in tokens if t.head == t.index)
+    if roots != 1:
+        raise AnnotationError(f"{path}: sentence at line {rows[0][4]}: "
+                              f"expected exactly one root, got {roots}")
     return tokens
 
 
@@ -428,15 +429,6 @@ def annotate(
 # Chunk identification
 
 
-def _validate_tokens(tokens: Sequence[TokenAnnotation]) -> None:
-    roots = [t for t in tokens if t.head == t.index]
-    if len(roots) != 1:
-        raise AnnotationError(f"expected exactly one root, got {len(roots)}")
-    for t in tokens:
-        if not (0 <= t.head < len(tokens)):
-            raise AnnotationError(f"token {t.index} head out of bounds")
-
-
 def _ec_allowed_noun(token: TokenAnnotation) -> bool:
     if token.is_placeholder:
         return True
@@ -468,7 +460,6 @@ def _match_ec(tokens: Sequence[TokenAnnotation], start: int) -> Optional[int]:
 
 def identify_chunks(tokens: Sequence[TokenAnnotation]) -> list[Chunk]:
     """Mark maximal EC and PC spans and assign dense left-to-right ordinals."""
-    _validate_tokens(tokens)
     n = len(tokens)
     taken = [False] * n
     ec_spans: list[tuple[int, int]] = []

@@ -76,15 +76,12 @@ def filter_candidates(
 ) -> tuple[list[Pattern], list[RejectedCandidate]]:
     """Promote recurring candidates to patterns.
 
-    ``overrides`` maps cq id to a hand-corrected candidate string and is
-    applied before any grouping, mirroring a manual validation step.
+    There is one candidate per CQ: ``Corpus`` checks that CQ ids are
+    unique.  ``overrides`` maps cq id to a hand-corrected candidate string
+    and is applied before any grouping, mirroring a manual validation step.
     """
-    seen_ids: set[str] = set()
     effective: list[CandidateRecord] = []
     for record in candidates:
-        if record.cq_id in seen_ids:
-            raise ValueError(f"duplicate candidate for CQ {record.cq_id}")
-        seen_ids.add(record.cq_id)
         text = (overrides or {}).get(record.cq_id, record.text)
         effective.append(
             CandidateRecord(record.cq_id, record.ontology,

@@ -145,18 +145,16 @@ class AnalysisBundle:
                 for g in self.signature_groups for qid in g.member_ids}
 
     def translated_rows(self) -> list[tuple[str, str, str, QueryAst, Optional[str]]]:
-        """(cq id, raw text, pattern-level text, ast, skeleton) per translated CQ."""
+        """(cq id, raw text, pattern-level text, ast, skeleton) per translated
+        CQ, built once; callers must not modify the list."""
+        return self._translated
+
+    @cached_property
+    def _translated(self) -> list[tuple[str, str, str, QueryAst, Optional[str]]]:
         candidate_text = {c.cq_id: c.text for c in self.candidates}
-        rows = []
-        for q in self.corpus.questions:
-            ast = self.asts.get(q.id)
-            if ast is None:
-                continue
-            rows.append(
-                (q.id, q.text, candidate_text.get(q.id, ""), ast,
-                 self.skeleton_by_cq.get(q.id))
-            )
-        return rows
+        asts, skeletons = self.asts, self.skeleton_by_cq
+        return [(q.id, q.text, candidate_text.get(q.id, ""), asts[q.id], skeletons.get(q.id))
+                for q in self.corpus.questions if q.id in asts]
 
 
 def mapping_for(bundle: AnalysisBundle, level: str = "pattern") \

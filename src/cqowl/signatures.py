@@ -12,8 +12,9 @@ of the orderable parts (the triples of a BGP, the operands of ``&&``/``||``
 and of ``=``/``!=``), with ``?v1``/``_:b1``-style names assigned in
 first-occurrence order per candidate.  The canonical skeleton is the least
 rendering over all those orders.  The minimum is found by a greedy
-best-first walk that branches on exact rendering ties, so it equals the
-brute-force minimum while staying cheap on asymmetric queries.
+best-first walk that ranks each part with the separator after it and
+branches on exact ties, so it equals the brute-force minimum while
+staying cheap on asymmetric queries.
 
 Parts equal up to renaming slots used nowhere else render alike in any
 order, so each class of them is tried in one order only (a sequence of one
@@ -362,9 +363,12 @@ class _Canonicalizer:
     that achieves it.  Keeping all tied states matters: two orderings can
     emit the same text while binding canonical names to different source
     variables, and dropping one would make later fragments depend on the
-    input order.  A strictly smaller fragment always wins regardless of
-    what follows (fragments are newline/space joined), so pruning to the
-    per-step minimum preserves the global minimum.
+    input order.  A step ranks each part followed by the separator:
+    ``?v1`` is a prefix of ``?v1 = ?v3``, but ``?v1 || `` follows
+    ``?v1 = ?v3 || ``.  No part holds its separator outside brackets, so
+    the least ranked fragment leads to the global minimum; at the last
+    step, candidates differ only in slot numbers, and what follows them
+    sorts before any digit.
 
     One instance renders one query.
     """
@@ -452,7 +456,8 @@ class _Canonicalizer:
         frontier: list[tuple[tuple, _Namer]] = [
             ((0,) * len(classes), s) for s in states]
         emitted: list[str] = []
-        for _ in parts:
+        for left in range(len(parts) - 1, -1, -1):
+            tail = sep if left else ""
             candidates = []
             for taken, nm in frontier:
                 for c, members in enumerate(classes):
@@ -462,11 +467,11 @@ class _Canonicalizer:
                     self._bump()
                     text, outs = self._render(members[i], [nm])
                     after = taken[:c] + (i + 1,) + taken[c + 1:]
-                    candidates.extend((text, (after, out)) for out in outs)
+                    candidates.extend((text + tail, (after, out)) for out in outs)
             low, frontier = _keep_min(candidates, _frontier_key)
             emitted.append(low)
             self._bump(len(frontier))
-        return sep.join(emitted), [nm for _, nm in frontier]
+        return "".join(emitted), [nm for _, nm in frontier]
 
     def _render_commutative_pair(self, node: _Node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
         orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)

@@ -8,6 +8,7 @@ from cqowl.corpus import (
     CompetencyQuestion,
     Corpus,
     CorpusError,
+    DuplicateError,
     OntologyId,
     load_corpus,
     load_jsonl,
@@ -170,3 +171,49 @@ def test_single_untranslated_cq():
     ])
     rows, _ = translatability_report(corpus)
     assert (rows[0].cq_count, rows[0].translated_count) == (1, 0)
+
+
+def test_duplicate_id_names_both_lines(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    first = json.dumps({"id": "a", "ontology": "AWO", "cq": "Which plants eat animals?"})
+    other = json.dumps({"id": "b", "ontology": "AWO", "cq": "Which animals eat plants?"})
+    write_lines(path, [first, "", other, first])
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path, format="jsonl")
+    assert str(exc.value) == f"{path}:4: duplicate CQ id 'a' (first at {path}:1)"
+
+
+def _ontology_dir(root, dirname, ontology, question_ids):
+    (root / dirname / "questions").mkdir(parents=True)
+    (root / dirname / "manifest.json").write_text(
+        json.dumps({"ontology": ontology}), encoding="utf-8")
+    for cq_id in question_ids:
+        (root / dirname / "questions" / f"{cq_id}.txt").write_text(
+            "Which plants eat animals?\n", encoding="utf-8")
+
+
+def test_dataset_dir_duplicates_name_both_files(tmp_path):
+    root = tmp_path / "twice"
+    _ontology_dir(root, "a", "SWO", ["q1"])
+    _ontology_dir(root, "b", "SWO", ["q2"])
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(root, format="dataset_dir")
+    assert str(exc.value) == (f"{root / 'b' / 'manifest.json'}: duplicate ontology "
+                              f"'SWO' (first at {root / 'a' / 'manifest.json'})")
+
+    root = tmp_path / "shared-id"
+    _ontology_dir(root, "a", "AWO", ["q0", "q1"])
+    _ontology_dir(root, "b", "SWO", ["q1"])
+    first, second = (root / d / "questions" / "q1.txt" for d in ("a", "b"))
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(root, format="dataset_dir")
+    assert str(exc.value) == f"{second}: duplicate CQ id 'q1' (first at {first})"
+
+
+def test_corpus_reports_positions_of_a_repeated_name():
+    q = CompetencyQuestion("x1", "AWO", "Which plants eat animals?", ())
+    other = CompetencyQuestion("x2", "AWO", "Which animals eat plants?", ())
+    with pytest.raises(DuplicateError) as exc:
+        Corpus([OntologyId("AWO")], [q, other, q])
+    assert (str(exc.value), exc.value.field, exc.value.first, exc.value.second) \
+        == ("duplicate CQ id 'x1'", "questions", 0, 2)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+import cqowl.correspondence
 from cqowl.correspondence import (
     BUILTIN_RULES,
     SignalRule,
+    _exemplar_skeleton,
     build_mapping,
     discover_signals,
     load_rules,
@@ -15,6 +18,7 @@ from cqowl.correspondence import (
     rule_matches,
 )
 from cqowl.patterns import Pattern
+from cqowl.pipeline import signals_for
 from cqowl.queryparse import parse_query
 from cqowl.signatures import canonicalize
 
@@ -200,3 +204,76 @@ def test_discovery_deterministic_and_min_support():
         assert r.subgroup_size >= 4
     with pytest.raises(ValueError):
         discover_signals(rows, min_support=1)
+
+
+# ---------------------------------------------------------------------------
+# rule checks and exemplar parsing
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("r", "initial", ("or",), "verb", "ASK"), "unknown matcher_kind 'initial'"),
+    (("r", "contains_word", ("or",), "shape", "ASK"), "unknown target_kind 'shape'"),
+    (("r", "contains_word", (), "verb", "ASK"), "nonempty tuple of strings"),
+    (("r", "contains_word", "or", "verb", "ASK"), "nonempty tuple of strings"),
+    (("r", "contains_word", ("or", 5), "verb", "ASK"), "nonempty tuple of strings"),
+    ((7, "contains_word", ("or",), "verb", "ASK"), "id and target_value must be strings"),
+    (("r", "contains_word", ("or",), "verb", None), "id and target_value must be strings"),
+])
+def test_signal_rule_checks_its_fields(fields, message):
+    with pytest.raises(ValueError) as exc:
+        SignalRule(*fields)
+    assert message in str(exc.value)
+
+
+_GOOD_RULE = {"id": "r", "matcher_kind": "contains_word", "matcher_value": ["or"],
+              "target_kind": "verb", "target_value": "ASK"}
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("r", "expected an object whose matcher_value is a list"),
+    ({**_GOOD_RULE, "matcher_value": "or"},
+     "expected an object whose matcher_value is a list"),
+    ({k: v for k, v in _GOOD_RULE.items() if k != "target_kind"}, "'target_kind'"),
+    ({**_GOOD_RULE, "matcher_kind": "initial"}, "unknown matcher_kind 'initial'"),
+    ({**_GOOD_RULE, "matcher_value": []}, "nonempty tuple of strings"),
+    ({**_GOOD_RULE, "target_kind": "skeleton", "target_value": "ASK { ?x a"},
+     "expected a term, found 'end of input'"),
+], ids=["not-object", "string-matcher", "missing-field", "unknown-kind",
+        "empty-matcher", "bad-exemplar"])
+def test_load_rules_names_the_file_and_rule(tmp_path, rule, message):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps([_GOOD_RULE, rule]), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_rules(path)
+    assert str(exc.value).startswith(f"{path}: rule #1 malformed: ")
+    assert message in str(exc.value)
+
+
+def test_each_distinct_exemplar_is_parsed_once(bundle, monkeypatch, tmp_path):
+    parsed = Counter()
+    original = cqowl.correspondence.parse_query
+
+    def counting(text, prefixes=None):
+        parsed[text] += 1
+        return original(text, prefixes)
+
+    monkeypatch.setattr(cqowl.correspondence, "parse_query", counting)
+    exemplars = Counter(r.target_value for r in BUILTIN_RULES
+                        if r.target_kind == "skeleton")
+    assert (len(exemplars), sum(exemplars.values())) == (4, 5)
+    once = Counter(set(exemplars))
+
+    _exemplar_skeleton.cache_clear()
+    default = signals_for(bundle)
+    assert parsed == once
+
+    # a rule file: loading checks each exemplar, and mining reuses the result
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps([
+        {"id": r.id, "matcher_kind": r.matcher_kind,
+         "matcher_value": list(r.matcher_value), "target_kind": r.target_kind,
+         "target_value": r.target_value} for r in BUILTIN_RULES]), encoding="utf-8")
+    _exemplar_skeleton.cache_clear()
+    parsed.clear()
+    assert signals_for(bundle, load_rules(path)) == default
+    assert parsed == once

@@ -223,3 +223,18 @@ def test_conllu_mismatch_errors(tmp_path):
 def test_determinism():
     text = "What types of clinical data are collected?"
     assert candidate(text) == candidate(text)
+
+
+@pytest.mark.parametrize("heads, roots", [((2, 3, 2), 0), ((0, 2, 2), 2)],
+                         ids=["cycle", "root-and-self-loop"])
+def test_conllu_reader_checks_the_root(tmp_path, heads, roots):
+    # a token headed by itself counts as a root, as HEAD 0 does
+    path = tmp_path / "tree.conllu"
+    path.write_text("# a comment line\n" + "".join(
+        f"{i}\t{form}\t{form}\tNOUN\t_\t_\t{head}\tdep\t_\t_\n"
+        for i, (form, head) in enumerate(zip(("Which", "plants", "grow"), heads), 1)),
+        encoding="utf-8")
+    with pytest.raises(AnnotationError) as exc:
+        read_conllu(path)
+    assert str(exc.value) == (f"{path}: sentence at line 2: "
+                              f"expected exactly one root, got {roots}")

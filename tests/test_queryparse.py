@@ -23,6 +23,7 @@ from cqowl.queryparse import (
     resolve_term,
     serialize_query,
 )
+from cqowl.signatures import canonicalize
 
 PREFIXES = {
     "awo": "http://www.meteck.org/teaching/ontologies/AfricanWildlifeOntology1.owl#",
@@ -268,3 +269,34 @@ def test_serialization_keeps_declared_prefixes():
                            "PREFIX : <http://example.org/default#>\n")
     assert parse_query(text) == ast
     assert serialize_query(parse_query(text)) == text
+
+
+def test_full_iris_match_their_prefixed_form():
+    prefixed = ("SELECT ?x WHERE { ?x rdfs:subClassOf awo:plant . "
+                "FILTER(?x != owl:Nothing) }")
+    full = ("SELECT ?x WHERE { ?x <http://www.w3.org/2000/01/rdf-schema#subClassOf> "
+            f"<{PREFIXES['awo']}plant> . "
+            "FILTER(?x != <http://www.w3.org/2002/07/owl#Nothing>) }")
+    a, b = parse_query(prefixed, PREFIXES), parse_query(full, {})
+    assert keyword_presence(a) == keyword_presence(b) == {
+        "WHERE", "SELECT", "rdfs:subClassOf", "FILTER", "owl:Nothing"}
+    assert canonicalize(a).skeleton == canonicalize(b).skeleton
+    assert parse_query(serialize_query(b), {}) == b
+
+
+def test_disjunctions_serialize_and_round_trip():
+    ast = parse_query("ASK { ?x a ?y . FILTER((?x = awo:a || ?x = awo:b) "
+                      "&& ?y != awo:c || ?y = awo:d) }", PREFIXES)
+    text = serialize_query(ast)
+    assert "FILTER ((?x = awo:a || ?x = awo:b) && ?y != awo:c || ?y = awo:d)" in text
+    assert parse_query(text, PREFIXES) == ast
+
+
+def test_language_tagged_literals_round_trip():
+    ast = parse_query('SELECT ?x WHERE { ?x rdfs:label "lion"@en, "Löwe"@de-DE }',
+                      PREFIXES)
+    objects = ast.where.items[0].triples[0].objects
+    assert [(o.lexical, o.lang) for o in objects] == [("lion", "en"), ("Löwe", "de-DE")]
+    text = serialize_query(ast)
+    assert '"lion"@en, "Löwe"@de-DE' in text
+    assert parse_query(text, PREFIXES) == ast

@@ -627,3 +627,66 @@ def test_namer_copies_only_when_naming_a_new_slot():
                                   (("b", "_:b1"), ("c", "_:b2")))
     text, same = namer.render([("var", "?x"), ":URI", ("blank", "b")])
     assert text == "?v1 :URI _:b1" and same is namer
+
+
+# ---------------------------------------------------------------------------
+# FILTER operands whose text is a prefix of another operand's: a bare term
+# ``?a`` against ``?a = ?c``; ranking a part by its text alone picks the
+# shorter one although ``?a = ?c || ?a`` is the lesser rendering
+
+
+def test_operand_that_prefixes_another_still_gives_the_minimum():
+    ast = parse_query("ASK { ?a ex:p ?b . FILTER((?a) || (?a = ?c)) }", PREFIXES)
+    assert canonicalize(ast).skeleton == (
+        "ASK WHERE {\n?v1 :URI ?v2 .\nFILTER(?v1 = ?v3 || ?v1)\n}")
+
+
+def _filter_operand(rng: random.Random, names: str, nested: bool):
+    """A random operand tree: ``("text", t)``, ``("pair", op, left, right)``
+    or, once per expression, ``("seq", op, operands)`` in parentheses."""
+    def var():
+        return "?" + rng.choice(names)
+    if nested and rng.random() < 0.3:
+        return ("seq", rng.choice(("&&", "||")),
+                [_filter_operand(rng, names, False) for _ in range(2)])
+    kind = rng.choice(("term", "compare", "in", "strstarts"))
+    if kind == "term":
+        return ("text", var())
+    if kind == "compare":
+        return ("pair", rng.choice(("=", "!=")), var(), rng.choice((var(), "ex:C")))
+    if kind == "in":
+        return ("text", f"{var()} IN ({var()}, ex:C)")
+    return ("text", f'STRSTARTS({var()}, "x")')
+
+
+def _filter_variants(node, top: bool = False):
+    """Every text of ``node`` over its operand orders and operand swaps."""
+    if node[0] == "text":
+        yield node[1]
+    elif node[0] == "pair":
+        _, op, left, right = node
+        yield f"{left} {op} {right}"
+        yield f"{right} {op} {left}"
+    else:
+        _, op, operands = node
+        for order in itertools.permutations(operands):
+            for texts in itertools.product(*(list(_filter_variants(o)) for o in order)):
+                body = f" {op} ".join(texts)
+                yield body if top else f"({body})"
+
+
+def test_filter_operand_kinds_keep_global_minimum():
+    rng = random.Random(1212)
+    for _ in range(1000):
+        operands = []
+        for _ in range(rng.randint(2, 3)):
+            nested = not any(o[0] == "seq" for o in operands)
+            operands.append(_filter_operand(rng, "abcd", nested))
+        expr = ("seq", rng.choice(("&&", "||")), operands)
+        query = "ASK {{ ?a ex:p ?b . FILTER({}) }}"
+        texts = list(_filter_variants(expr, top=True))
+        want = min(render_in_source_order(parse_query(query.format(t), PREFIXES))
+                   for t in texts)
+        for text in (texts[0], rng.choice(texts)):
+            assert canonicalize(parse_query(query.format(text), PREFIXES)).skeleton \
+                == want, text

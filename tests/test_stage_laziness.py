@@ -8,6 +8,7 @@ import importlib.util
 import json
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -138,3 +139,33 @@ def test_every_traced_site_resolves(monkeypatch):
         except (ImportError, AttributeError):
             missing.append(f"{owner}.{attr}")
     assert spans.SITES and missing == []
+
+
+def test_report_builds_translated_rows_once(tmp_path, monkeypatch):
+    bundle_class = cqowl.pipeline.AnalysisBundle
+    build = bundle_class._translated.func
+    builds = []
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(bundle_class, "_translated")
+    monkeypatch.setattr(bundle_class, "_translated", prop)
+    received = []
+    mine, discover = cqowl.pipeline.mine_signals, cqowl.pipeline.discover_signals
+
+    def mining(rules, translated):
+        received.append(translated)
+        return mine(rules, translated)
+
+    def discovering(translated, **options):
+        received.append(translated)
+        return discover(translated, **options)
+
+    monkeypatch.setattr(cqowl.pipeline, "mine_signals", mining)
+    monkeypatch.setattr(cqowl.pipeline, "discover_signals", discovering)
+    assert run("report", tmp_path) == 0
+    assert len(builds) == 1
+    assert len(received) == 2 and received[0] is received[1]
