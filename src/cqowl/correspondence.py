@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .patterns import Pattern, cq_words, slot_kind
 from .queryparse import QueryAst, keyword_presence, parse_query
@@ -85,7 +85,8 @@ def _histogram(degrees: Iterable[int]) -> tuple[tuple[int, int], ...]:
 # Signal rules
 
 
-_MATCHER_KINDS = ("initial_word_class", "contains_word", "contains_phrase")
+_WORD_MATCHER_KINDS = ("initial_word_class", "contains_word")  # read the raw text
+_MATCHER_KINDS = _WORD_MATCHER_KINDS + ("contains_phrase",)
 _TARGET_KINDS = ("verb", "keyword", "skeleton")
 
 
@@ -173,13 +174,22 @@ def phrase_matches(phrase_tokens: Sequence[str], pattern_text: str) -> bool:
     return False
 
 
-def rule_matches(rule: SignalRule, raw_text: str, pattern_text: str) -> bool:
+def _matcher(rule: SignalRule) -> Callable[[Optional[list[str]], str], bool]:
+    """``rule``'s signal test on a CQ's words (``cq_words`` of its raw text,
+    or None for a phrase rule, which does not read them) and its
+    pattern-level text."""
     if rule.matcher_kind == "initial_word_class":
-        words = cq_words(raw_text)
-        return bool(words) and words[0] in {w.lower() for w in rule.matcher_value}
+        word_class = {w.lower() for w in rule.matcher_value}
+        return lambda words, _pattern_text: bool(words) and words[0] in word_class
     if rule.matcher_kind == "contains_word":
-        return rule.matcher_value[0].lower() in cq_words(raw_text)
-    return phrase_matches(rule.matcher_value, pattern_text)
+        word = rule.matcher_value[0].lower()
+        return lambda words, _pattern_text: word in words
+    return lambda _words, pattern_text: phrase_matches(rule.matcher_value, pattern_text)
+
+
+def rule_matches(rule: SignalRule, raw_text: str, pattern_text: str) -> bool:
+    words = cq_words(raw_text) if rule.matcher_kind in _WORD_MATCHER_KINDS else None
+    return _matcher(rule)(words, pattern_text)
 
 
 @lru_cache
@@ -201,14 +211,20 @@ def mine_signals(
     target.  Rows whose subgroup has size 1 or less are flagged as
     non-evidential; whether a link is meaningful stays a human call.
     """
-    # keyword presence per row, computed when a keyword rule first needs it
+    # CQ words and keyword presence per row, computed when a word rule or a
+    # keyword rule first needs them
+    words: list[Optional[list[str]]] = [None] * len(translated)
     keywords: list[Optional[set[str]]] = [None] * len(translated)
     out = []
     for rule in rules:
+        matches = _matcher(rule)
+        reads_words = rule.matcher_kind in _WORD_MATCHER_KINDS
         denominator = 0
         numerator = 0
         for i, (_cq_id, raw, pattern_text, ast, skeleton) in enumerate(translated):
-            if not rule_matches(rule, raw, pattern_text):
+            if reads_words and words[i] is None:
+                words[i] = cq_words(raw)
+            if not matches(words[i], pattern_text):
                 continue
             denominator += 1
             if rule.target_kind == "verb":

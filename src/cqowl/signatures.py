@@ -52,6 +52,7 @@ from .queryparse import (
     PathAtom,
     PathSequence,
     PathZeroOrMore,
+    PrefixedName,
     QueryAst,
     RDF_NS,
     STAR,
@@ -91,21 +92,27 @@ class Signature(Record):
 
 
 def _abstract_term(term, prefixes: dict[str, str]) -> list:
-    if isinstance(term, Variable):
+    kind = type(term)
+    if kind is PrefixedName:
+        ns = prefixes.get(term.prefix)
+        # an undeclared prefix raises PrefixResolutionError in resolve_term
+        iri = resolve_term(term, prefixes) if ns is None else ns + term.local
+        return [_abstract_iri(iri)]
+    if kind is Variable:
         if term.marker == "$":
             return [URI_TOKEN]
         return [("var", "?" + term.name)]
-    if isinstance(term, BlankNodeLabel):
+    if kind is BlankNodeLabel:
         return [("blank", term.label)]
-    if isinstance(term, AnonBlank):
-        return ["[]"]
-    if isinstance(term, Literal):
+    if kind is Literal:
         if term.datatype is not None:
             dt = _abstract_term(term.datatype, prefixes)
             return [LIT_TOKEN + "^^" + "".join(dt)]
         return [LIT_TOKEN]
-    if isinstance(term, KeywordA):
+    if kind is KeywordA:
         return ["a"]
+    if kind is AnonBlank:
+        return ["[]"]
     resolved = resolve_term(term, prefixes)
     if resolved is None:
         raise TypeError(f"cannot abstract term {term!r}")
@@ -123,17 +130,19 @@ def _abstract_iri(iri: str) -> str:
 
 
 def _abstract_path(pred, prefixes) -> list:
-    if isinstance(pred, PathAtom):
-        return _abstract_term(pred.term, prefixes)
-    if isinstance(pred, PathZeroOrMore):
-        return _abstract_path(pred.inner, prefixes) + ["*"]
-    if isinstance(pred, PathSequence):
+    kind = type(pred)
+    if kind is PathSequence:
         return _joined([_abstract_path(part, prefixes) for part in pred.parts], "/")
+    if kind is PathZeroOrMore:
+        return _abstract_path(pred.inner, prefixes) + ["*"]
+    if kind is PathAtom:
+        pred = pred.term
     return _abstract_term(pred, prefixes)
 
 
 def _abstract_node(node, prefixes) -> list:
-    if isinstance(node, BlankPropertyList):
+    kind = type(node)
+    if kind is BlankPropertyList:
         rendered_pairs = [
             _abstract_path(pred, prefixes)
             + _joined([_abstract_node(obj, prefixes) for obj in objects], ",")
@@ -144,7 +153,7 @@ def _abstract_node(node, prefixes) -> list:
         # order (pair permutation invariance is not part of the contract)
         rendered_pairs.sort(key=_erased)
         return ["["] + _joined(rendered_pairs, ";") + ["]"]
-    if isinstance(node, Collection):
+    if kind is Collection:
         out = ["("]
         for item in node.items:
             out.extend(_abstract_node(item, prefixes))
@@ -165,7 +174,7 @@ def _joined(token_lists: list[list], sep: str) -> list:
 def _erased(tokens: Iterable) -> str:
     parts = []
     for tok in tokens:
-        if isinstance(tok, tuple):
+        if type(tok) is tuple:
             parts.append("?" if tok[0] == "var" else "_:")
         else:
             parts.append(tok)
@@ -176,10 +185,12 @@ def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
     """Expand object lists so each template is a single s/p/o rendering."""
     templates = []
     for triple in bgp.triples:
-        subj = _abstract_node(triple.subject, prefixes)
-        pred = _abstract_path(triple.predicate, prefixes)
+        head = _abstract_node(triple.subject, prefixes)
+        head += _abstract_path(triple.predicate, prefixes)
         for obj in triple.objects:
-            templates.append(subj + pred + _abstract_node(obj, prefixes) + ["."])
+            template = head + _abstract_node(obj, prefixes)
+            template.append(".")
+            templates.append(template)
     return templates
 
 
@@ -214,34 +225,35 @@ def _abstract_pattern(item: GraphPattern, prefixes, max_triples: int) -> "_Node"
 def _abstract_expr(expr: Expr, prefixes, top: bool = False) -> "_Node | list":
     """``expr`` abstracted; ``top`` marks a FILTER's own expression, whose
     ``&&`` or ``||`` gets no parentheses."""
-    if isinstance(expr, Paren):
-        return _abstract_expr(expr.inner, prefixes, top)
-    if isinstance(expr, Compare):
+    kind = type(expr)
+    if kind is TermRef:
+        return _abstract_term(expr.term, prefixes)
+    if kind is Compare:
         if expr.op not in ("=", "!="):
             raise TypeError(f"unexpected comparison {expr.op}")
         return _Node(sep=f" {expr.op} ", order="pair",
                      children=[_abstract_expr(expr.left, prefixes),
                                _abstract_expr(expr.right, prefixes)])
-    if isinstance(expr, (And, Or)):
-        sep = " && " if isinstance(expr, And) else " || "
+    if kind is And or kind is Or:
+        sep = " && " if kind is And else " || "
         return _Node("" if top else "(", sep, "" if top else ")", order="seq",
                      children=[_abstract_expr(p, prefixes) for p in expr.parts])
-    if isinstance(expr, In):
+    if kind is Paren:
+        return _abstract_expr(expr.inner, prefixes, top)
+    if kind is In:
         return _Node(sep=" IN ", children=[
             _abstract_expr(expr.needle, prefixes),
             _Node("(", ", ", ")", children=[_abstract_expr(o, prefixes)
                                             for o in expr.options])])
-    if isinstance(expr, FnCall):
+    if kind is FnCall:
         name = expr.name if isinstance(expr.name, str) \
             else "".join(_abstract_term(expr.name, prefixes))
         return _Node(name + "(", ", ", ")",
                      children=[_abstract_expr(a, prefixes) for a in expr.args])
-    if isinstance(expr, Arith):
+    if kind is Arith:
         return _Node("(", f" {expr.op} ", ")",
                      children=[_abstract_expr(expr.left, prefixes),
                                _abstract_expr(expr.right, prefixes)])
-    if isinstance(expr, TermRef):
-        return _abstract_term(expr.term, prefixes)
     raise TypeError(f"unknown expression {expr!r}")
 
 
@@ -269,7 +281,7 @@ def _count_slots(node, counts: dict) -> dict:
         node = stack.pop()
         if type(node) is list:
             for tok in node:
-                if isinstance(tok, tuple):
+                if type(tok) is tuple:
                     counts[tok] = counts.get(tok, 0) + 1
         else:
             stack.extend(node.children)
@@ -289,7 +301,7 @@ def _class_key(part, totals: dict) -> tuple:
         if type(node) is list:
             key.append(len(node))
             for tok in node:
-                if isinstance(tok, tuple) and local[tok] == totals[tok]:
+                if type(tok) is tuple and local[tok] == totals[tok]:
                     tok = renamed.setdefault(tok, (tok[0], len(renamed)))
                 key.append(tok)
         else:
@@ -320,7 +332,7 @@ class _Namer:
         out = self
         parts = []
         for tok in tokens:
-            if isinstance(tok, tuple):
+            if type(tok) is tuple:
                 kind, key = tok
                 names = out.vars if kind == "var" else out.blanks
                 tok = names.get(key)

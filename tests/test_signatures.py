@@ -510,6 +510,19 @@ def test_interchangeable_parts_invariant_under_shuffle_and_renaming():
             assert canonicalize(_pruning_query(case, rng)).skeleton == expected
 
 
+def test_object_list_shares_its_subject_across_templates():
+    # the object list expands to two templates that both hold ?x, so ?x is
+    # shared and those two templates are not interchangeable with ?w's
+    pair = "?x ex:p ?y, ?z"
+    skeletons = {canonicalize(parse_query(f"SELECT * WHERE {{ {body} }}", PREFIXES)).skeleton
+                 for body in (f"?w ex:p ?v . {pair}", f"{pair} . ?w ex:p ?v")}
+    expanded = parse_query(
+        "SELECT * WHERE { ?w ex:p ?v . ?x ex:p ?y . ?x ex:p ?z }", PREFIXES)
+    assert skeletons == {_oracle_minimum(expanded)}
+    assert skeletons == {
+        "SELECT * WHERE {\n?v1 :URI ?v2 .\n?v1 :URI ?v3 .\n?v4 :URI ?v5 .\n}"}
+
+
 # ---------------------------------------------------------------------------
 # sequences whose parts form one class of interchangeable parts render in
 # one order; they must still give the global minimum and count the branches

@@ -16,7 +16,7 @@ import cqowl.correspondence
 import cqowl.corpus
 import cqowl.pipeline
 from cqowl.cli import SUBCOMMANDS, main
-from cqowl.correspondence import SignalRule, mine_signals
+from cqowl.correspondence import BUILTIN_RULES, SignalRule, mine_signals, rule_matches
 from cqowl.corpus import load_corpus
 from tests.conftest import CORPUS_PATH, REPO_ROOT
 
@@ -93,6 +93,29 @@ def test_mine_signals_computes_keywords_once_per_row(bundle, monkeypatch):
     assert max(seen.values()) == 1
     assert 0 < len(seen) <= len(rows)
     assert sum(r.denominator for r in results) == 4 * len(seen)
+
+
+def test_mine_signals_splits_each_cq_once(bundle, monkeypatch):
+    rows = bundle.translated_rows()
+    split = Counter()
+    original = cqowl.correspondence.cq_words
+
+    def counting(text):
+        split[text] += 1
+        return original(text)
+
+    monkeypatch.setattr(cqowl.correspondence, "cq_words", counting)
+    results = mine_signals(BUILTIN_RULES, rows)
+    assert sum(split.values()) == len(rows)
+    assert [r.denominator for r in results] == [
+        sum(rule_matches(rule, raw, pattern_text) for _, raw, pattern_text, _, _ in rows)
+        for rule in BUILTIN_RULES]
+    # phrase rules read only the pattern-level text
+    split.clear()
+    phrase_rules = [r for r in BUILTIN_RULES if r.matcher_kind == "contains_phrase"]
+    assert phrase_rules
+    mine_signals(phrase_rules, rows)
+    assert not split
 
 
 def test_report_is_byte_identical_to_golden(tmp_path):
