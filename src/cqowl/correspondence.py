@@ -150,46 +150,52 @@ class SignalRow(Record):
         return f"{self.numerator}/{self.denominator} ({pct:.1f}%)"
 
 
-def _wildcard_token_match(pattern_token: str, token: str) -> bool:
-    for alternative in pattern_token.split("/"):
-        if alternative in ("EC", "PC"):
-            if slot_kind(token) == alternative:
-                return True
-        elif alternative.upper() == "NUM" and token == "NUM":
-            return True
-        elif token.lower() == alternative.lower():
+def _pattern_tokens(pattern_text: str) -> list[tuple[str, Optional[str]]]:
+    """Each token of pattern-level text, lowercased, with its slot kind."""
+    return [(token.lower(), slot_kind(token)) for token in pattern_text.split()]
+
+
+def _phrase_alternatives(phrase_tokens: Sequence[str]) -> list[frozenset[str]]:
+    """What each phrase token matches: the slot kinds (EC, PC) and the
+    lowercased words among its ``a/b`` alternatives.  A lowercased word is
+    never ``EC`` or ``PC``, so one set holds both."""
+    return [frozenset(alt if alt in ("EC", "PC") else alt.lower()
+                      for alt in token.split("/"))
+            for token in phrase_tokens]
+
+
+def _phrase_in(alternatives: list[frozenset[str]],
+               tokens: list[tuple[str, Optional[str]]]) -> bool:
+    width = len(alternatives)
+    for start in range(len(tokens) - width + 1):
+        if all(lower in alts or kind in alts
+               for alts, (lower, kind) in zip(alternatives, tokens[start:start + width])):
             return True
     return False
 
 
 def phrase_matches(phrase_tokens: Sequence[str], pattern_text: str) -> bool:
-    tokens = pattern_text.split()
-    width = len(phrase_tokens)
-    for start in range(len(tokens) - width + 1):
-        if all(
-            _wildcard_token_match(p, tokens[start + i])
-            for i, p in enumerate(phrase_tokens)
-        ):
-            return True
-    return False
+    return _phrase_in(_phrase_alternatives(phrase_tokens), _pattern_tokens(pattern_text))
 
 
-def _matcher(rule: SignalRule) -> Callable[[Optional[list[str]], str], bool]:
-    """``rule``'s signal test on a CQ's words (``cq_words`` of its raw text,
-    or None for a phrase rule, which does not read them) and its
-    pattern-level text."""
+def _matcher(rule: SignalRule) -> Callable[[list], bool]:
+    """``rule``'s signal test on what it reads of a CQ: ``cq_words`` of its
+    raw text for a word rule, ``_pattern_tokens`` of its pattern-level text
+    for a phrase rule."""
     if rule.matcher_kind == "initial_word_class":
         word_class = {w.lower() for w in rule.matcher_value}
-        return lambda words, _pattern_text: bool(words) and words[0] in word_class
+        return lambda words: bool(words) and words[0] in word_class
     if rule.matcher_kind == "contains_word":
         word = rule.matcher_value[0].lower()
-        return lambda words, _pattern_text: word in words
-    return lambda _words, pattern_text: phrase_matches(rule.matcher_value, pattern_text)
+        return lambda words: word in words
+    alternatives = _phrase_alternatives(rule.matcher_value)
+    return lambda tokens: _phrase_in(alternatives, tokens)
 
 
 def rule_matches(rule: SignalRule, raw_text: str, pattern_text: str) -> bool:
-    words = cq_words(raw_text) if rule.matcher_kind in _WORD_MATCHER_KINDS else None
-    return _matcher(rule)(words, pattern_text)
+    if rule.matcher_kind in _WORD_MATCHER_KINDS:
+        return _matcher(rule)(cq_words(raw_text))
+    return _matcher(rule)(_pattern_tokens(pattern_text))
 
 
 @lru_cache
@@ -211,41 +217,37 @@ def mine_signals(
     target.  Rows whose subgroup has size 1 or less are flagged as
     non-evidential; whether a link is meaningful stays a human call.
     """
-    # CQ words and keyword presence per row, computed when a word rule or a
-    # keyword rule first needs them
-    words: list[Optional[list[str]]] = [None] * len(translated)
-    keywords: list[Optional[set[str]]] = [None] * len(translated)
-    out = []
-    for rule in rules:
-        matches = _matcher(rule)
-        reads_words = rule.matcher_kind in _WORD_MATCHER_KINDS
-        denominator = 0
-        numerator = 0
-        for i, (_cq_id, raw, pattern_text, ast, skeleton) in enumerate(translated):
-            if reads_words and words[i] is None:
-                words[i] = cq_words(raw)
-            if not matches(words[i], pattern_text):
-                continue
-            denominator += 1
-            if rule.target_kind == "verb":
-                numerator += ast.verb == rule.target_value
-            elif rule.target_kind == "keyword":
-                if keywords[i] is None:
-                    keywords[i] = keyword_presence(ast)
-                numerator += rule.target_value in keywords[i]
+    tests = [(_matcher(rule), rule.matcher_kind in _WORD_MATCHER_KINDS) for rule in rules]
+    numerators = [0] * len(rules)
+    denominators = [0] * len(rules)
+    for _cq_id, raw, pattern_text, ast, skeleton in translated:
+        # a row's CQ words, pattern tokens and keyword presence, computed
+        # when a word rule, a phrase rule or a keyword rule first needs them
+        # and dropped with the row, so no stage keeps them for every row
+        words = tokens = keywords = None
+        for i, (rule, (matches, reads_words)) in enumerate(zip(rules, tests)):
+            if reads_words:
+                if words is None:
+                    words = cq_words(raw)
+                read = words
             else:
-                numerator += skeleton == _exemplar_skeleton(rule.target_value)
-        out.append(
-            SignalRow(
-                rule.id,
-                rule.describe_signal(),
-                rule.describe_target(),
-                numerator,
-                denominator,
-                numerator <= 1,
-            )
-        )
-    return out
+                if tokens is None:
+                    tokens = _pattern_tokens(pattern_text)
+                read = tokens
+            if not matches(read):
+                continue
+            denominators[i] += 1
+            if rule.target_kind == "verb":
+                numerators[i] += ast.verb == rule.target_value
+            elif rule.target_kind == "keyword":
+                if keywords is None:
+                    keywords = keyword_presence(ast)
+                numerators[i] += rule.target_value in keywords
+            else:
+                numerators[i] += skeleton == _exemplar_skeleton(rule.target_value)
+    return [SignalRow(rule.id, rule.describe_signal(), rule.describe_target(),
+                      numerator, denominator, numerator <= 1)
+            for rule, numerator, denominator in zip(rules, numerators, denominators)]
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,8 @@ _VERB_SUFFIXES = ("ed",)
 
 
 _NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+_PUNCT = re.compile(r"[?!.,;:]+")
+_END_PUNCT = re.compile(r"[?!.]+")
 
 
 def is_number(word: str) -> bool:
@@ -252,7 +254,7 @@ def _tag_tokens(raw: Sequence[_RawToken]) -> list[str]:
         lower = lowers[i]
         if tok.is_placeholder:
             tags.append("NOUN")
-        elif re.fullmatch(r"[?!.,;:]+", word):
+        elif _PUNCT.fullmatch(word):
             tags.append("PUNCT")
         elif lower in _LEXICON_TAGS:
             tags.append(_LEXICON_TAGS[lower])
@@ -570,7 +572,7 @@ def to_pattern_candidate(sentence: AnnotatedSentence) -> str:
             words.append("NUM")
         else:
             words.append(tok.surface)
-    while words and re.fullmatch(r"[?!.]+", words[-1]):
+    while words and _END_PUNCT.fullmatch(words[-1]):
         words.pop()
     return _detokenize(words)
 

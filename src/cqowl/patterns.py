@@ -329,6 +329,9 @@ _SUPERLATIVE_BLOCK = {
     "interest", "test", "rest", "best", "forest", "request", "west",
     "harvest", "guest", "latest",
 }
+_MORE_THAN = re.compile(r"\bmore\b.*\bthan\b")
+_DIFFERENCE_BETWEEN = re.compile(r"\bdifferences?\s+between\b")
+_HOW_DO_I = re.compile(r"how (do|can) i\b")
 
 
 def classify_cq(text: str) -> CqFeatures:
@@ -369,9 +372,9 @@ def classify_cq(text: str) -> CqFeatures:
     elif superlative:
         modifier = "Superlative"
     elif "better" in tokens or "worse" in tokens \
-            or re.search(r"\bmore\b.*\bthan\b", lower):
+            or _MORE_THAN.search(lower):
         modifier = "Comparative"
-    elif re.search(r"\bdifferences?\s+between\b", lower):
+    elif _DIFFERENCE_BETWEEN.search(lower):
         modifier = "Difference"
     elif lower.startswith("to what extent"):
         modifier = "Extent"
@@ -386,6 +389,6 @@ def classify_cq(text: str) -> CqFeatures:
         dinde.add("Person")
     if lower.startswith("how long") or "period" in tokens:
         dinde.add("Period")
-    if re.match(r"how (do|can) i\b", lower):
+    if _HOW_DO_I.match(lower):
         dinde.add("Procedure")
     return CqFeatures(qtype, polarity, modifier, frozenset(dinde))

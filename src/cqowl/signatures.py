@@ -262,9 +262,10 @@ class _Node:
     renders as ``prefix + sep.join(children) + suffix``, its children in
     source order (``"fixed"``), their least order (``"seq"``) or the lesser
     of their two orders (``"pair"``).  Leaves stay bare token lists: one more
-    object per triple made each canonicalization measurably slower."""
+    object per triple made each canonicalization measurably slower.  A
+    ``"seq"`` node keeps its children's classes once they are computed."""
 
-    __slots__ = ("prefix", "sep", "suffix", "order", "children")
+    __slots__ = ("prefix", "sep", "suffix", "order", "children", "classes")
 
     def __init__(self, prefix="", sep="", suffix="", order="fixed", children=()):
         self.prefix = prefix
@@ -272,6 +273,7 @@ class _Node:
         self.suffix = suffix
         self.order = order
         self.children = children
+        self.classes = None
 
 
 def _count_slots(node, counts: dict) -> dict:
@@ -425,7 +427,7 @@ class _Canonicalizer:
                 return text, [state]
             return _keep_min([state.render(node) for state in states])
         if node.order == "seq":
-            text, states = self._min_sequence(node.children, states, node.sep)
+            text, states = self._min_sequence(node, states)
         elif node.order == "pair":
             text, states = self._render_commutative_pair(node, states)
         else:
@@ -436,9 +438,9 @@ class _Canonicalizer:
             text = node.sep.join(texts)
         return node.prefix + text + node.suffix, states
 
-    def _min_sequence(self, parts: list, states: list[_Namer],
-                      sep: str) -> tuple[str, list[_Namer]]:
-        """Minimal rendering of an orderable list, over all states."""
+    def _min_sequence(self, node: _Node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
+        """Minimal rendering of an orderable node's children, over all states."""
+        parts, sep = node.children, node.sep
         if not parts:
             return "", states
         # taking a later part of a class first renders the same texts with
@@ -446,7 +448,14 @@ class _Canonicalizer:
         # classes are taken in source order, and a frontier entry, (parts
         # taken per class, namer), has emitted the identical text so far.
         # Without search the source order is the one order tried.
-        classes = [parts] if len(parts) == 1 or not self.search else self._classes(parts)
+        if len(parts) == 1 or not self.search:
+            classes = [parts]
+        else:
+            # a part nested in an orderable part is rendered once per order
+            # tried, and its classes do not depend on the order
+            classes = node.classes
+            if classes is None:
+                classes = node.classes = self._classes(parts)
         if len(classes) == 1:
             # one order: straight through, keeping every naming state that
             # yields the minimal text; tied states render one at a time, as

@@ -625,6 +625,26 @@ def test_tied_states_count_branches_of_nested_searches():
     assert _branches(ast) == 46
 
 
+def test_nested_sequences_are_classed_once(monkeypatch):
+    # each ``||`` is rendered once per order the ``&&`` tries, and its
+    # classes are computed on the first rendering only
+    keyed = []
+    classes = _Canonicalizer._classes
+
+    def counting(self, parts):
+        keyed.append(len(parts))
+        return classes(self, parts)
+
+    monkeypatch.setattr(_Canonicalizer, "_classes", counting)
+    ast = parse_query("ASK { ?a ex:p ?b . ?c ex:p ?d . "
+                      "FILTER((?a = ex:C || ?b = ex:D) && (?c = ex:C || ?d = ex:D)) }",
+                      PREFIXES)
+    assert canonicalize(ast).skeleton == (
+        "ASK WHERE {\n?v1 :URI ?v2 .\n?v3 :URI ?v4 .\n"
+        "FILTER((:URI = ?v1 || :URI = ?v2) && (:URI = ?v3 || :URI = ?v4))\n}")
+    assert keyed == [2, 2, 2, 2]  # the BGP, the ``&&`` and each ``||``
+
+
 def test_namer_copies_only_when_naming_a_new_slot():
     empty = _Namer()
     text, namer = empty.render([("var", "?x"), ":URI", ("blank", "b")])

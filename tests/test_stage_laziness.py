@@ -118,6 +118,25 @@ def test_mine_signals_splits_each_cq_once(bundle, monkeypatch):
     assert not split
 
 
+def test_mine_signals_splits_each_pattern_text_and_phrase_once(bundle):
+    splits = Counter()
+
+    class Counted(str):
+        def split(self, *args):
+            splits[id(self)] += 1
+            return super().split(*args)
+
+    rows = [(cq_id, raw, Counted(pattern_text), ast, skeleton)
+            for cq_id, raw, pattern_text, ast, skeleton in bundle.translated_rows()]
+    phrase_rules = [r for r in BUILTIN_RULES if r.matcher_kind == "contains_phrase"]
+    rules = [SignalRule(r.id, r.matcher_kind, tuple(map(Counted, r.matcher_value)),
+                        r.target_kind, r.target_value) for r in phrase_rules]
+    results = mine_signals(rules, rows)
+    assert [splits[id(row[2])] for row in rows] == [1] * len(rows)
+    assert all(splits[id(token)] == 1 for r in rules for token in r.matcher_value)
+    assert results == mine_signals(phrase_rules, bundle.translated_rows())
+
+
 def test_report_is_byte_identical_to_golden(tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["files"]
     assert main(["report", "--corpus", str(CORPUS_PATH), "--out",
