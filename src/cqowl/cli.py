@@ -27,7 +27,7 @@ from .corpus import (
     translatability_report,
 )
 from .queryparse import DEFAULT_MAX_TRIPLES, keyword_report, serialize_query
-from .reporting import Table, write_jsonl
+from .reporting import Table, write_jsonl, write_text
 
 if TYPE_CHECKING:
     from .correspondence import SignalRule
@@ -465,9 +465,7 @@ def _write_manifest(out: Path, args, started: float) -> None:
         "min_support": args.min_support,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_text(out / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -55,10 +55,10 @@ class Table(Record, frozen=False):
         for fmt in formats:
             if fmt == "csv":
                 target = out_dir / f"{self.name}.csv"
-                target.write_text(self.to_csv(), encoding="utf-8")
+                write_text(target, self.to_csv())
             elif fmt == "md":
                 target = out_dir / f"{self.name}.md"
-                target.write_text(self.to_markdown(), encoding="utf-8")
+                write_text(target, self.to_markdown())
             else:
                 raise ValueError(f"unknown report format {fmt!r}")
             written.append(target)
@@ -83,4 +83,16 @@ def write_jsonl(path: Path, records: Iterable[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a new file at ``path``.
+
+    An old file there is unlinked, not truncated: rewriting a truncated file
+    made the filesystem flush its old blocks first (on ext4, reruns of
+    ``report`` into the same ``--out`` took seconds instead of a tenth of
+    one), and a hard link or symlink at ``path`` keeps what it pointed to.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8")

@@ -20,7 +20,12 @@ Parts equal up to renaming slots used nowhere else render alike in any
 order, so each class of them is tried in one order only (a sequence of one
 class renders straight through); equal parts tied by shared slots
 (2-cycles) can still raise CanonicalizationLimitExceeded.  Naming states
-are copied only when a rendering names a new slot.
+are copy-on-write: a rendering copies its state only when it names a new
+slot, except inside one straight-through run, whose leaves name into the
+one copy the run made.  Bare token lists and pairs of them (BGP templates,
+object-list members, ``=``/``!=`` operands) take direct paths through
+class keys and rendering, and a unique least rendering is kept without
+comparing naming states.
 """
 from __future__ import annotations
 
@@ -294,6 +299,29 @@ def _class_key(part, totals: dict) -> tuple:
     """``part``'s structure with its private slots (by the query-wide
     ``totals``, they occur nowhere else) numbered by first occurrence.
     Parts with equal keys differ only by a renaming of private slots."""
+    if type(part) is list:
+        leaves, key, tokens = (part,), [], part
+    elif all(type(child) is list for child in part.children):
+        # a leaf-only node (an ``=``/``!=`` pair): its leaves in the order
+        # the walk below takes them, so the key is the walk's key
+        leaves = part.children[::-1]
+        key = [(part.prefix, part.sep, part.suffix, part.order, len(leaves))]
+        tokens = [tok for leaf in leaves for tok in leaf]
+    else:
+        return _tree_class_key(part, totals)
+    # leaves are a few tokens long: counting in them beats a dict of counts
+    renamed: dict = {}
+    for leaf in leaves:
+        key.append(len(leaf))
+        for tok in leaf:
+            if type(tok) is tuple and totals[tok] == tokens.count(tok):
+                tok = renamed.setdefault(tok, (tok[0], len(renamed)))
+            key.append(tok)
+    return tuple(key)
+
+
+def _tree_class_key(part: "_Node", totals: dict) -> tuple:
+    """``_class_key`` of a node with a node below it."""
     local = _count_slots(part, {})
     renamed: dict = {}
     key = []
@@ -318,7 +346,10 @@ def _class_key(part, totals: dict) -> tuple:
 
 class _Namer:
     """First-occurrence canonical names; copy-on-write: a namer is never
-    changed once ``render`` returns it, so search branches share it."""
+    changed once ``render`` returns it, so search branches share it.  The
+    one exception is a namer that a straight-through run copied for itself
+    (``render(tokens, in_place=True)``): no branch holds it, so the run
+    names into it in place."""
 
     def __init__(self):
         self.vars: dict[str, str] = {}
@@ -329,8 +360,9 @@ class _Namer:
         # equal item sequences
         return tuple(self.vars.items()), tuple(self.blanks.items())
 
-    def render(self, tokens: Iterable) -> tuple[str, "_Namer"]:
-        """``tokens`` named, and ``self`` or, if it named a new slot, a copy."""
+    def render(self, tokens: Iterable, in_place: bool = False) -> tuple[str, "_Namer"]:
+        """``tokens`` named, and ``self`` or, if it named a new slot and not
+        ``in_place``, a copy."""
         out = self
         parts = []
         for tok in tokens:
@@ -339,7 +371,7 @@ class _Namer:
                 names = out.vars if kind == "var" else out.blanks
                 tok = names.get(key)
                 if tok is None:
-                    if out is self:
+                    if out is self and not in_place:
                         out = _Namer.__new__(_Namer)
                         out.vars, out.blanks = dict(self.vars), dict(self.blanks)
                         names = out.vars if kind == "var" else out.blanks
@@ -353,14 +385,16 @@ def _keep_min(candidates: list[tuple[str, object]], key=_Namer.key) -> tuple[str
     """The least text among ``(text, state)`` candidates and every state that
     renders it, the first of each ``key`` only, in candidate order."""
     low = min(text for text, _ in candidates)
+    winners = [state for text, state in candidates if text == low]
+    if len(winners) == 1:
+        return low, winners
     seen = set()
     kept = []
-    for text, state in candidates:
-        if text == low:
-            k = key(state)
-            if k not in seen:
-                seen.add(k)
-                kept.append(state)
+    for state in winners:
+        k = key(state)
+        if k not in seen:
+            seen.add(k)
+            kept.append(state)
     return low, kept
 
 
@@ -461,9 +495,19 @@ class _Canonicalizer:
             # yields the minimal text; tied states render one at a time, as
             # in the frontier, so searches nested in a part count alike
             texts = []
+            owned = None  # a namer this run copied, which no branch holds
             for part in parts:
                 self._bump(len(states))
-                if len(states) == 1:
+                if len(states) == 1 and type(part) is list:
+                    # once a leaf has copied the namer, later leaves name
+                    # into that copy: n parts naming n slots make one copy,
+                    # not n copies of growing dicts
+                    state = states[0]
+                    text, out = state.render(part, state is owned)
+                    if out is not state:
+                        owned = out
+                    states = [out]
+                elif len(states) == 1:
                     text, states = self._render(part, states)
                 else:
                     candidates = []
@@ -496,14 +540,24 @@ class _Canonicalizer:
 
     def _render_commutative_pair(self, node: _Node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
         orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)
+        children, sep = node.children, node.sep
         candidates: list[tuple[str, _Namer]] = []
+        if len(states) == 1 and type(children[0]) is list and type(children[1]) is list:
+            # two leaves from one state: each order is two ``render`` calls
+            state = states[0]
+            for first, second in orders:
+                self._bump()
+                left, mid = state.render(children[first])
+                right, out = mid.render(children[second])
+                candidates.append((left + sep + right, out))
+            return _keep_min(candidates)
         for state in states:
             for first, second in orders:
                 self._bump()
-                left, mids = self._render(node.children[first], [state])
+                left, mids = self._render(children[first], [state])
                 for mid in mids:
-                    right, outs = self._render(node.children[second], [mid])
-                    candidates.extend((f"{left}{node.sep}{right}", out) for out in outs)
+                    right, outs = self._render(children[second], [mid])
+                    candidates.extend((f"{left}{sep}{right}", out) for out in outs)
         return _keep_min(candidates)
 
 

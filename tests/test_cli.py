@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 
@@ -154,6 +155,29 @@ def test_report_runs_everything_deterministically(tmp_path):
     }
     assert expected <= set(first)
     assert (out1 / "run_manifest.json").exists()
+
+
+def test_rerun_replaces_each_output_file(tmp_path):
+    # a rerun writes new files: a hard link to an old output keeps the old
+    # file, and a symlink in --out is replaced, not followed
+    out = tmp_path / "out"
+    assert run("report", "--corpus", CORPUS_PATH, "--out", out) == 0
+    names = ["signatures.csv", "signatures.md", "parsed_queries.jsonl", "run_manifest.json"]
+    old = {}
+    for name in names:
+        os.link(out / name, tmp_path / name)
+        old[name] = (tmp_path / name).read_bytes()
+    outside = tmp_path / "outside.csv"
+    outside.write_text("kept\n", encoding="utf-8")
+    (out / "keywords.csv").unlink()
+    (out / "keywords.csv").symlink_to(outside)
+    assert run("report", "--corpus", CORPUS_PATH, "--out", out) == 0
+    for name in names:
+        assert not os.path.samefile(out / name, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == old[name]
+    assert outside.read_text(encoding="utf-8") == "kept\n"
+    assert not (out / "keywords.csv").is_symlink()
+    assert (out / "keywords.csv").read_text(encoding="utf-8").startswith("keyword,")
 
 
 def test_overrides_flow(tmp_path):

@@ -645,6 +645,31 @@ def test_nested_sequences_are_classed_once(monkeypatch):
     assert keyed == [2, 2, 2, 2]  # the BGP, the ``&&`` and each ``||``
 
 
+def test_one_class_run_of_leaves_copies_the_namer_once(monkeypatch):
+    # the first leaf naming a new slot copies the namer; the later ones
+    # name into that copy, which no branch of the search holds
+    made = []
+
+    def counting(cls):
+        made.append(cls)
+        return object.__new__(cls)
+
+    monkeypatch.setattr(_Namer, "__new__", counting)
+    ast = _one_class_query(_family_case("star", 16))
+    assert canonicalize(ast).skeleton == "SELECT * WHERE {\n" + "".join(
+        f"?v1 :URI ?v{i} .\n" for i in range(2, 18)) + "}"
+    assert len(made) <= 2
+
+
+def test_pair_of_leaves_keeps_both_tied_namings():
+    # both orders of ``?a != ?b`` render ``?v1 != ?v2``, naming ?a or ?b
+    # first; only the naming with ``?b`` as ``?v1`` gives the least triple
+    ast = parse_query("SELECT * WHERE { FILTER(?a != ?b) ?b ex:p ex:C . }", PREFIXES)
+    skeleton = canonicalize(ast).skeleton
+    assert skeleton == "SELECT * WHERE {\nFILTER(?v1 != ?v2)\n?v1 :URI :URI .\n}"
+    assert skeleton == _oracle_minimum(ast)
+
+
 def test_namer_copies_only_when_naming_a_new_slot():
     empty = _Namer()
     text, namer = empty.render([("var", "?x"), ":URI", ("blank", "b")])
