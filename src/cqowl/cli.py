@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 # module, instead of being imported where they are used, only because
 # perfbench's tracer wraps them here (``perfbench/spans.py``); they become
 # plain local imports once the program records its own spans (ROADMAP
-# item 1).
+# item 3).
 def run_pipeline(corpus: Corpus, **options) -> AnalysisBundle:
     from .pipeline import AnalysisBundle
     return AnalysisBundle(corpus, **options)
@@ -131,6 +131,11 @@ def _dispatch(args) -> int:
     corpus = load_corpus(Path(args.corpus), format=args.format)
 
     if args.command == "validate":
+        if args.tagger == "conllu":
+            # the CoNLL-U files are input too: run the annotation stage
+            # that report runs, so validate fails where report would
+            run_pipeline(corpus, tagger=args.tagger,
+                         conllu_dir=args.conllu_dir).sentences
         return _cmd_validate(corpus)
 
     bundle = run_pipeline(
@@ -168,6 +173,10 @@ def _check_flags(args) -> list[str]:
                                ("--max-triples", args.max_triples, 1)):
         if value < least:
             raise FlagError(f"{flag} must be at least {least}, got {value}")
+    if args.tagger == "conllu" and args.conllu_dir is None:
+        raise FlagError("--conllu-dir: required with --tagger conllu")
+    if args.tagger != "conllu" and args.conllu_dir is not None:
+        raise FlagError("--conllu-dir: only read with --tagger conllu")
     args.overrides = _read_flag_file("--overrides", args.overrides, _load_overrides)
     args.rules = _read_flag_file("--rules", args.rules, _load_rules)
     args.stoplist = _read_flag_file("--stoplist", args.stoplist, _load_stoplist)

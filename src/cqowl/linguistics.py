@@ -8,7 +8,10 @@ numbered ``EC<k>``/``PC<k>`` slots yields the pattern candidate string.
 
 Annotations come either from the built-in deterministic tagger (lexicon
 plus suffix rules; no external models) or from a CoNLL-U file produced by
-a full NLP pipeline, which is the higher-fidelity path.
+a full NLP pipeline, which is the higher-fidelity path.  A CoNLL-U
+sentence belongs to a CQ when its FORMs, concatenated, spell the CQ text
+once whitespace and quote marks are removed from both: the tokenizer's
+own rule, since those are exactly the characters it discards.
 """
 from __future__ import annotations
 
@@ -163,6 +166,10 @@ EC_NOUN_STOPLIST = {
 _VERB_SUFFIXES = ("ed",)
 
 
+# the quote marks the tokenizer strips from either edge of a word; with
+# whitespace, they are what a CoNLL-U sentence need not spell to match a CQ
+_QUOTES = "\"'“”‘’"
+_UNSPELLED = re.compile(rf"[\s{_QUOTES}]+")
 _NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _PUNCT = re.compile(r"[?!.,;:]+")
 _END_PUNCT = re.compile(r"[?!.]+")
@@ -207,16 +214,15 @@ def _split_plain(fragment: str) -> list[_RawToken]:
 
 def _split_word(word: str) -> list[str]:
     parts: list[str] = []
-    # leading quotes
-    while word and word[0] in "\"'“‘" and not word.startswith("'s"):
+    while word and word[0] in _QUOTES and not word.startswith("'s"):
         word = word[1:]
     trailing: list[str] = []
-    while word and word[-1] in "?!.,;:\"'”’":
+    while word and (word[-1] in _QUOTES or word[-1] in "?!.,;:"):
         ch = word[-1]
         # keep file-extension style tokens like ".cel" intact
         if ch == "." and len(word) > 1 and word[0] == ".":
             break
-        if ch in "?!.,;:":
+        if ch not in _QUOTES:
             trailing.insert(0, ch)
         word = word[:-1]
     if word.lower().endswith("'s") and len(word) > 2:
@@ -400,10 +406,6 @@ def _finish_conllu_sentence(path, rows) -> list[TokenAnnotation]:
     return tokens
 
 
-def _normalize_ws(text: str) -> str:
-    return re.sub(r"\s+([?!.,;:])", r"\1", " ".join(text.split()))
-
-
 def annotate(
     text: str,
     source: str = "builtin",
@@ -415,11 +417,9 @@ def annotate(
     if source == "conllu":
         if conllu_path is None:
             raise AnnotationError("conllu source requires a path")
-        wanted = _normalize_ws(text)
+        wanted = _UNSPELLED.sub("", text)
         for sentence in read_conllu(conllu_path):
-            raw = _normalize_ws(" ".join(t.surface for t in sentence))
-            if raw == wanted or _normalize_ws(_detokenize(
-                    [t.surface for t in sentence])) == wanted:
+            if _UNSPELLED.sub("", "".join(t.surface for t in sentence)) == wanted:
                 return sentence
         raise AnnotationError(
             f"{conllu_path}: no sentence matches the CQ text {text!r}"

@@ -33,7 +33,7 @@ def _deferred(module: str, name: str):
 
     The stage functions below are attributes of this module only because
     perfbench's tracer wraps them here (``perfbench/spans.py``); once the
-    program records its own spans (ROADMAP item 1) they become local
+    program records its own spans (ROADMAP item 3) they become local
     imports in the stages.  The first call binds the target for good: the
     tracer also wraps ``signatures.group_by_signature``, and the benchmark
     runs each round untraced before tracing it, so one call gives one span.
@@ -84,10 +84,12 @@ class AnalysisBundle:
 
     @cached_property
     def sentences(self) -> dict[str, AnnotatedSentence]:
-        conllu_dir = Path(self.conllu_dir or ".")
+        conllu_dir = self.conllu_dir
         return {
-            q.id: annotate_sentence(q.id, q.text, source=self.tagger,
-                                    conllu_path=conllu_dir / f"{q.id}.conllu")
+            q.id: annotate_sentence(
+                q.id, q.text, source=self.tagger,
+                conllu_path=None if conllu_dir is None
+                else Path(conllu_dir, f"{q.id}.conllu"))
             for q in self.corpus.questions
         }
 

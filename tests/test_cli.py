@@ -317,6 +317,20 @@ def test_bad_flag_values_exit_1(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--tagger", "conllu"],
+                                   ["--conllu-dir", "conllu"]],
+                         ids=["tagger-without-dir", "dir-without-tagger"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_conllu_dir_goes_with_the_conllu_tagger(tmp_path, capsys, command, flags):
+    # without the check, one run read ./<cq id>.conllu and the other
+    # ignored the directory
+    out = tmp_path / "out"
+    for corpus in (CORPUS_PATH, tmp_path / "no-corpus.jsonl"):
+        assert run(command, "--corpus", corpus, "--out", out, *flags) == 1
+        assert capsys.readouterr().err.startswith("error: --conllu-dir: ")
+    assert not out.exists()
+
+
 WHICH_PLANTS = [("Which", "PRON", 2), ("plants", "NOUN", 3), ("eat", "VERB", 0),
                 ("animals", "NOUN", 3), ("?", "PUNCT", 3)]
 

@@ -4,18 +4,26 @@ Renaming every variable of every query leaves every table byte-identical
 except ``parsed_queries.jsonl``, which serializes each query as written.
 Shuffling the records leaves each table's rows the same as a multiset; the
 row order, and the order of the per-ontology columns of ``keywords``,
-follow first appearance in the corpus.
+follow first appearance in the corpus.  Nor do they depend on the seed
+of Python's string hashing: a ``cqowl report`` process matches golden
+under two values of ``PYTHONHASHSEED``.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+
+import pytest
 
 from cqowl.cli import main
 from cqowl.queryparse import _tokenize
-from tests.conftest import CORPUS_PATH
+from tests.conftest import CORPUS_PATH, REPO_ROOT
+from tests.test_gc_policy import ENTRY, GOLDEN_PATH, _digests
 
 
 def _report(corpus_path, out) -> dict[str, str]:
@@ -83,3 +91,17 @@ def test_shuffling_records_keeps_every_tables_rows(tmp_path):
     first_seen = list(dict.fromkeys(json.loads(r)["ontology"] for r in records))
     assert other["keywords.csv"].split("\n", 1)[0] == ",".join(
         ["keyword", "total", *first_seen])
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_report_process_matches_golden_under_each_hash_seed(tmp_path, seed):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["files"]
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY, "report", "--corpus", str(CORPUS_PATH),
+         "--paper-calibration", "--emit", "csv,md", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _digests(tmp_path) == golden
