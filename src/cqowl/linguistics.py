@@ -76,7 +76,7 @@ PRONOUNS = {"i", "we", "it", "they", "you", "he", "she", "them", "us", "me",
 AUX_VERBS = {
     "is", "are", "am", "was", "were", "be", "being", "been", "does", "do",
     "did", "has", "have", "had", "can", "could", "will", "would", "shall",
-    "should", "may", "might", "must", "'s", "'re",
+    "should", "may", "might", "must", "'s", "’s", "'re",
 }
 
 ADPOSITIONS = {
@@ -169,6 +169,8 @@ _VERB_SUFFIXES = ("ed",)
 # the quote marks the tokenizer strips from either edge of a word; with
 # whitespace, they are what a CoNLL-U sentence need not spell to match a CQ
 _QUOTES = "\"'“”‘’"
+# the possessive clitic, split off a word with the apostrophe it was written with
+_POSSESSIVES = ("'s", "’s")
 _UNSPELLED = re.compile(rf"[\s{_QUOTES}]+")
 _NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _PUNCT = re.compile(r"[?!.,;:]+")
@@ -214,7 +216,7 @@ def _split_plain(fragment: str) -> list[_RawToken]:
 
 def _split_word(word: str) -> list[str]:
     parts: list[str] = []
-    while word and word[0] in _QUOTES and not word.startswith("'s"):
+    while word and word[0] in _QUOTES and not word.startswith(_POSSESSIVES):
         word = word[1:]
     trailing: list[str] = []
     while word and (word[-1] in _QUOTES or word[-1] in "?!.,;:"):
@@ -225,8 +227,8 @@ def _split_word(word: str) -> list[str]:
         if ch not in _QUOTES:
             trailing.insert(0, ch)
         word = word[:-1]
-    if word.lower().endswith("'s") and len(word) > 2:
-        parts.extend([word[:-2], "'s"])
+    if word.lower().endswith(_POSSESSIVES) and len(word) > 2:
+        parts.extend([word[:-2], word[-2:].lower()])
     elif word:
         parts.append(word)
     parts.extend(trailing)
@@ -534,7 +536,7 @@ def _surface(tokens: Sequence[TokenAnnotation], spans: Iterable[tuple[int, int]]
 # Pattern candidate construction
 
 
-_ATTACH_PREVIOUS = {",", "'s", ";", ":"}
+_ATTACH_PREVIOUS = {",", *_POSSESSIVES, ";", ":"}
 
 
 def _detokenize(words: Sequence[str]) -> str:

@@ -15,20 +15,17 @@ serialization.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterator, Optional, Union as TUnion
 
 from .records import Record
 
-RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
-OWL_NS = "http://www.w3.org/2002/07/owl#"
-XSD_NS = "http://www.w3.org/2001/XMLSchema#"
-
+# the reserved vocabulary, whose prefixes every query may use
 WELL_KNOWN_PREFIXES = {
-    "rdf": RDF_NS,
-    "rdfs": RDFS_NS,
-    "owl": OWL_NS,
-    "xsd": XSD_NS,
+    "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
+    "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
+    "owl": "http://www.w3.org/2002/07/owl#",
+    "xsd": "http://www.w3.org/2001/XMLSchema#",
 }
 
 # The default bound on the triples of one BGP that ``signatures``
@@ -327,11 +324,11 @@ _BUILTIN_FNS = {"strstarts": "STRSTARTS", "now": "now"}
 
 
 class _Parser:
-    def __init__(self, text: str, prefixes: dict[str, str]):
+    def __init__(self, text: str, prefixes: Optional[dict[str, str]]):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.prefixes = dict(prefixes)
+        self.prefixes = {**WELL_KNOWN_PREFIXES, **(prefixes or {})}
         self.declared: dict[str, str] = {}
         self.anon_counter = 0
 
@@ -621,10 +618,7 @@ def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAs
     """
     if not text.strip():
         raise QueryParseError("empty query text", 1, 1)
-    table = dict(WELL_KNOWN_PREFIXES)
-    if prefixes:
-        table.update(prefixes)
-    return _Parser(text, table).parse_query()
+    return _Parser(text, prefixes).parse_query()
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +713,7 @@ def _render_node(node: Node, depth: int) -> str:
 def _render_expr(expr: Expr) -> str:
     if isinstance(expr, Paren):
         return "(" + _render_expr(expr.inner) + ")"
-    if isinstance(expr, Compare):
+    if isinstance(expr, (Compare, Arith)):
         return f"{_render_expr(expr.left)} {expr.op} {_render_expr(expr.right)}"
     if isinstance(expr, And):
         return " && ".join(_render_expr(p) for p in expr.parts)
@@ -732,8 +726,6 @@ def _render_expr(expr: Expr) -> str:
         name = expr.name if isinstance(expr.name, str) else str(expr.name)
         args = ", ".join(_render_expr(a) for a in expr.args)
         return f"{name}({args})"
-    if isinstance(expr, Arith):
-        return f"{_render_expr(expr.left)} {expr.op} {_render_expr(expr.right)}"
     if isinstance(expr, TermRef):
         return str(expr.term)
     raise TypeError(f"unknown expression node {expr!r}")
@@ -767,15 +759,8 @@ KEYWORD_INVENTORY = (
     "rdf:rest",
 )
 
-# resolved IRI -> vocabulary keyword; "rdf:type / a" is matched by rdf:type,
-# which the Turtle ``a`` also resolves to
-_KEYWORD_OF_IRI = {
-    WELL_KNOWN_PREFIXES[prefix] + local: keyword
-    for keyword in KEYWORD_INVENTORY
-    for prefix, colon, local in [keyword.split()[0].partition(":")]
-    if colon
-}
-_RDF_TYPE_IRI = RDF_NS + "type"
+# vocabulary name -> keyword; "rdf:type / a" is matched by rdf:type and by ``a``
+_KEYWORD_OF_NAME = {kw.split()[0]: kw for kw in KEYWORD_INVENTORY if ":" in kw}
 # structural keywords, by the graph pattern node that shows them
 _KEYWORDS_OF_NODE = {
     Filter: ("FILTER",),
@@ -796,8 +781,41 @@ def resolve_term(term: Term, prefixes: dict[str, str]) -> Optional[str]:
             )
         return ns + term.local
     if isinstance(term, KeywordA):
-        return _RDF_TYPE_IRI
+        return WELL_KNOWN_PREFIXES["rdf"] + "type"
     return None
+
+
+def _vocabulary_head(start: str) -> Optional[str]:
+    """The name of every IRI beginning with ``start``, up to that point:
+    ``prefix:...`` inside a reserved namespace, "" when ``start`` properly
+    begins one (the rest decides), None when no IRI beginning so is reserved."""
+    for prefix, ns in WELL_KNOWN_PREFIXES.items():
+        if start.startswith(ns):
+            return f"{prefix}:{start[len(ns):]}"
+        if ns.startswith(start):
+            return ""
+    return None
+
+
+_namespace_head = lru_cache(maxsize=256)(_vocabulary_head)
+
+
+def vocabulary_name(term: Term, prefixes: dict[str, str]) -> Optional[str]:
+    """``prefix:local`` for a term in the rdf/rdfs/owl/xsd vocabulary (``a``
+    is ``rdf:type``), None for any other term.  A prefixed name's IRI is its
+    namespace followed by its local part (SPARQL 1.1, 4.1.1), so the answer
+    is decided once per namespace."""
+    kind = type(term)
+    if kind is PrefixedName:
+        ns = prefixes.get(term.prefix)
+        head = "" if ns is None else _namespace_head(ns)
+        if head:
+            return head + term.local
+        # the IRI decides; resolve_term raises for an undeclared prefix
+        return None if head is None else _vocabulary_head(resolve_term(term, prefixes)) or None
+    if kind is Iri:
+        return _vocabulary_head(term.value) or None
+    return "rdf:type" if kind is KeywordA else None
 
 
 def _walk(node) -> Iterator:
@@ -820,7 +838,7 @@ def keyword_presence(ast: QueryAst) -> set[str]:
     """Which of the fixed keyword inventory occurs in the query.
 
     Structural keywords come from AST shape; vocabulary keywords are matched
-    on resolved IRIs so the result is invariant under prefix renaming.
+    by :func:`vocabulary_name`, invariant under prefix renaming and full IRIs:
     ``rdf:type`` and the Turtle ``a`` count as the single keyword
     ``"rdf:type / a"``.  A ``FILTER NOT EXISTS`` counts for both FILTER and
     NOT EXISTS, matching its surface syntax.
@@ -831,7 +849,7 @@ def keyword_presence(ast: QueryAst) -> set[str]:
     prefixes = ast.prefixes()
     for node in _walk(ast.where):
         if isinstance(node, (Iri, PrefixedName, KeywordA)):
-            keyword = _KEYWORD_OF_IRI.get(resolve_term(node, prefixes))
+            keyword = _KEYWORD_OF_NAME.get(vocabulary_name(node, prefixes))
             if keyword is not None:
                 present.add(keyword)
         else:

@@ -1,11 +1,12 @@
 """Canonical, URI-agnostic signatures for SPARQL-OWL query ASTs.
 
 Two queries share a signature when they are equal "ignoring URIs": every
-domain IRI is abstracted to the token ``:URI`` (reserved rdf/rdfs/owl/xsd
-vocabulary stays concrete), placeholder ``$`` variables also become
-``:URI`` since they stand for a concrete ontology term, literals become
-``:LIT`` (keeping the datatype), and variables / labeled blank nodes are
-renamed canonically.
+domain IRI is abstracted to the token ``:URI`` (a term of the reserved
+rdf/rdfs/owl/xsd vocabulary stays concrete as its ``vocabulary_name``,
+decided per namespace, so a renamed prefix or a full IRI gives the same
+token), placeholder ``$`` variables also become ``:URI`` since they stand
+for a concrete ontology term, literals become ``:LIT`` (keeping the
+datatype), and variables / labeled blank nodes are renamed canonically.
 
 Abstraction fixes all skeleton text.  The search chooses only the order
 of the orderable parts (the triples of a BGP, the operands of ``&&``/``||``
@@ -29,7 +30,6 @@ comparing naming states.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .queryparse import (
@@ -49,6 +49,7 @@ from .queryparse import (
     GraphPattern,
     Group,
     In,
+    Iri,
     KeywordA,
     Literal,
     NotExists,
@@ -59,17 +60,13 @@ from .queryparse import (
     PathZeroOrMore,
     PrefixedName,
     QueryAst,
-    RDF_NS,
     STAR,
     TermRef,
     UnionPattern,
     Variable,
-    WELL_KNOWN_PREFIXES,
-    resolve_term,
+    vocabulary_name,
 )
 from .records import Record
-
-RESERVED_NAMESPACES = {ns: prefix for prefix, ns in WELL_KNOWN_PREFIXES.items()}
 
 URI_TOKEN = ":URI"
 LIT_TOKEN = ":LIT"
@@ -98,11 +95,9 @@ class Signature(Record):
 
 def _abstract_term(term, prefixes: dict[str, str]) -> list:
     kind = type(term)
-    if kind is PrefixedName:
-        ns = prefixes.get(term.prefix)
-        # an undeclared prefix raises PrefixResolutionError in resolve_term
-        iri = resolve_term(term, prefixes) if ns is None else ns + term.local
-        return [_abstract_iri(iri)]
+    if kind is PrefixedName or kind is Iri:
+        name = vocabulary_name(term, prefixes)
+        return ["a" if name == "rdf:type" else name or URI_TOKEN]
     if kind is Variable:
         if term.marker == "$":
             return [URI_TOKEN]
@@ -118,20 +113,7 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
         return ["a"]
     if kind is AnonBlank:
         return ["[]"]
-    resolved = resolve_term(term, prefixes)
-    if resolved is None:
-        raise TypeError(f"cannot abstract term {term!r}")
-    return [_abstract_iri(resolved)]
-
-
-@lru_cache(maxsize=4096)
-def _abstract_iri(iri: str) -> str:
-    if iri == RDF_NS + "type":
-        return "a"
-    for ns, prefix in RESERVED_NAMESPACES.items():
-        if iri.startswith(ns):
-            return f"{prefix}:{iri[len(ns):]}"
-    return URI_TOKEN
+    raise TypeError(f"cannot abstract term {term!r}")
 
 
 def _abstract_path(pred, prefixes) -> list:

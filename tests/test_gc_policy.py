@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from cqowl.cli import main
-from tests.conftest import CORPUS_PATH, REPO_ROOT
+from tests.conftest import CORPUS_PATH, REPO_ROOT, _replicas
 
 GOLDEN_PATH = REPO_ROOT / "perfbench" / "golden.json"
 # what the ``cqowl`` console script runs
@@ -70,21 +70,6 @@ def test_program_main_restores_the_collector_and_freezes(tmp_path, monkeypatch,
     finally:
         gc.unfreeze()
         (gc.enable if was_enabled else gc.disable)()
-
-
-def _replicas(path, copies: int, broken: int = -1):
-    """The bundled corpus ``copies`` times over, each copy's ids suffixed;
-    every query of copy ``broken`` fails to parse."""
-    lines = CORPUS_PATH.read_text(encoding="utf-8").splitlines()
-    with path.open("w", encoding="utf-8") as out:
-        for copy in range(copies):
-            for line in lines:
-                record = json.loads(line)
-                record["id"] += f"_r{copy}"
-                if copy == broken and "query" in record:
-                    record["query"] += " {"
-                out.write(json.dumps(record) + "\n")
-    return path
 
 
 def _garbage_after_report(corpus, out) -> int:

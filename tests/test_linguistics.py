@@ -238,3 +238,17 @@ def test_conllu_reader_checks_the_root(tmp_path, heads, roots):
         read_conllu(path)
     assert str(exc.value) == (f"{path}: sentence at line 2: "
                               f"expected exactly one root, got {roots}")
+
+
+@pytest.mark.parametrize("apostrophe", ["'", "’"])
+def test_typographic_possessive_splits_tags_and_attaches_like_ascii(apostrophe):
+    text = f"Which tool{apostrophe}s licence is used?"
+    tokens = annotate_sentence("t", text).tokens
+    assert [(t.surface, t.pos, t.deprel) for t in tokens[:3]] == [
+        ("Which", "PRON", "dep"), ("tool", "NOUN", "dep"),
+        (f"{apostrophe}s", "AUX", "aux")]
+    assert candidate(text) == "Which EC1 PC1 EC2 PC1"
+    assert [t.surface for t in tokenize(f"Where{apostrophe}S the file?")][:2] == \
+        ["Where", f"{apostrophe}s"]
+    assert linguistics._detokenize(["tool", f"{apostrophe}s", "licence"]) == \
+        f"tool{apostrophe}s licence"
