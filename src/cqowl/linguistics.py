@@ -76,7 +76,7 @@ PRONOUNS = {"i", "we", "it", "they", "you", "he", "she", "them", "us", "me",
 AUX_VERBS = {
     "is", "are", "am", "was", "were", "be", "being", "been", "does", "do",
     "did", "has", "have", "had", "can", "could", "will", "would", "shall",
-    "should", "may", "might", "must", "'s", "’s", "'re",
+    "should", "may", "might", "must", "'s", "’s", "'re", "’re",
 }
 
 ADPOSITIONS = {
@@ -169,8 +169,10 @@ _VERB_SUFFIXES = ("ed",)
 # the quote marks the tokenizer strips from either edge of a word; with
 # whitespace, they are what a CoNLL-U sentence need not spell to match a CQ
 _QUOTES = "\"'“”‘’"
-# the possessive clitic, split off a word with the apostrophe it was written with
-_POSSESSIVES = ("'s", "’s")
+# the marks the tokenizer strips from a word's end (an opening quote goes too)
+_EDGE_MARKS = _QUOTES + "?!.,;:"
+# the clitics split off a word, with the apostrophe they were written with
+_CLITICS = ("'s", "’s", "'re", "’re")
 _UNSPELLED = re.compile(rf"[\s{_QUOTES}]+")
 _NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _PUNCT = re.compile(r"[?!.,;:]+")
@@ -216,10 +218,11 @@ def _split_plain(fragment: str) -> list[_RawToken]:
 
 def _split_word(word: str) -> list[str]:
     parts: list[str] = []
-    while word and word[0] in _QUOTES and not word.startswith(_POSSESSIVES):
+    while word and word[0] in _QUOTES and \
+            word.rstrip(_EDGE_MARKS).lower() not in _CLITICS:
         word = word[1:]
     trailing: list[str] = []
-    while word and (word[-1] in _QUOTES or word[-1] in "?!.,;:"):
+    while word and word[-1] in _EDGE_MARKS:
         ch = word[-1]
         # keep file-extension style tokens like ".cel" intact
         if ch == "." and len(word) > 1 and word[0] == ".":
@@ -227,8 +230,11 @@ def _split_word(word: str) -> list[str]:
         if ch not in _QUOTES:
             trailing.insert(0, ch)
         word = word[:-1]
-    if word.lower().endswith(_POSSESSIVES) and len(word) > 2:
-        parts.extend([word[:-2], word[-2:].lower()])
+    lower = word.lower()
+    if lower.endswith(_CLITICS) and lower not in _CLITICS:
+        # a clitic holds one apostrophe, its first character
+        cut = max(word.rfind("'"), word.rfind("’"))
+        parts.extend([word[:cut], lower[cut:]])
     elif word:
         parts.append(word)
     parts.extend(trailing)
@@ -536,7 +542,7 @@ def _surface(tokens: Sequence[TokenAnnotation], spans: Iterable[tuple[int, int]]
 # Pattern candidate construction
 
 
-_ATTACH_PREVIOUS = {",", *_POSSESSIVES, ";", ":"}
+_ATTACH_PREVIOUS = {",", *_CLITICS, ";", ":"}
 
 
 def _detokenize(words: Sequence[str]) -> str:

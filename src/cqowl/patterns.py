@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .linguistics import is_number
+from .linguistics import _EDGE_MARKS, is_number
 from .records import Factory, Record
 
 
@@ -61,8 +61,9 @@ def slot_kind(token: str) -> Optional[str]:
 
 
 def cq_words(text: str) -> list[str]:
-    """The lowercased words of CQ or pattern text, edge punctuation stripped."""
-    words = (t.strip("?.,!\"';:").lower() for t in text.split())
+    """The lowercased words of CQ or pattern text, with the quote marks and
+    punctuation the tokenizer strips taken off both edges."""
+    words = (t.strip(_EDGE_MARKS).lower() for t in text.split())
     return [w for w in words if w]
 
 
@@ -80,17 +81,11 @@ def filter_candidates(
     unique.  ``overrides`` maps cq id to a hand-corrected candidate string
     and is applied before any grouping, mirroring a manual validation step.
     """
-    effective: list[CandidateRecord] = []
-    for record in candidates:
-        text = (overrides or {}).get(record.cq_id, record.text)
-        effective.append(
-            CandidateRecord(record.cq_id, record.ontology,
-                            record.dematerialized, canonical_text(text))
-        )
-
+    overrides = overrides or {}
     by_text: dict[str, list[CandidateRecord]] = {}
-    for record in effective:
-        by_text.setdefault(record.text, []).append(record)
+    for record in candidates:
+        text = canonical_text(overrides.get(record.cq_id, record.text))
+        by_text.setdefault(text, []).append(record)
 
     patterns: list[Pattern] = []
     rejected: list[RejectedCandidate] = []
@@ -210,24 +205,17 @@ def normalize_text(text: str) -> str:
     return canonical_text(" ".join(tokens))
 
 
-def normalize_pattern(pattern: Pattern) -> Pattern:
-    if pattern.level not in ("pattern", "higher"):
-        raise ValueError(f"cannot normalize a {pattern.level}-level pattern")
-    return Pattern(normalize_text(pattern.text), "higher",
-                   list(pattern.support), set(pattern.ontologies))
-
-
 def higher_level_inventory(patterns: Sequence[Pattern]) -> list[Pattern]:
     """Normalize accepted patterns and merge the ones that coincide."""
     merged: dict[str, Pattern] = {}
     for p in patterns:
-        normalized = normalize_pattern(p)
-        existing = merged.get(normalized.text)
+        text = normalize_text(p.text)
+        existing = merged.get(text)
         if existing is None:
-            merged[normalized.text] = normalized
+            merged[text] = Pattern(text, "higher", list(p.support), set(p.ontologies))
         else:
-            existing.support = sorted(set(existing.support) | set(normalized.support))
-            existing.ontologies |= normalized.ontologies
+            existing.support = sorted(set(existing.support) | set(p.support))
+            existing.ontologies |= p.ontologies
     return sorted(merged.values(), key=lambda p: p.text)
 
 

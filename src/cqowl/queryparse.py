@@ -114,22 +114,18 @@ class KeywordA(Record):
 Term = TUnion[Iri, PrefixedName, BlankNodeLabel, AnonBlank, Variable, Literal, KeywordA]
 
 
-class PathAtom(Record):
-    term: Term
-
-    def __str__(self) -> str:
-        return str(self.term)
-
-
 class PathZeroOrMore(Record):
-    inner: "PropertyPath"
+    inner: Term
 
     def __str__(self) -> str:
         return f"{self.inner}*"
 
 
 class PathSequence(Record):
-    parts: tuple["PropertyPath", ...]
+    """``p1/p2/...``: each step is a term or a starred term (SPARQL 1.1,
+    9.1: a path element is an IRI, not a node of its own)."""
+
+    parts: tuple[TUnion[Term, PathZeroOrMore], ...]
 
     def __post_init__(self):
         if len(self.parts) < 2:
@@ -139,7 +135,7 @@ class PathSequence(Record):
         return "/".join(str(p) for p in self.parts)
 
 
-PropertyPath = TUnion[PathAtom, PathZeroOrMore, PathSequence]
+PropertyPath = TUnion[PathZeroOrMore, PathSequence]
 
 
 class Collection(Record):
@@ -476,16 +472,15 @@ class _Parser:
         return predicate, tuple(self._separated(self._parse_node, ","))
 
     def _parse_predicate(self) -> TUnion[Term, PropertyPath]:
-        path = self._nary(PathSequence, "/", self._parse_path_elt)
-        return path.term if isinstance(path, PathAtom) else path
+        return self._nary(PathSequence, "/", self._parse_path_elt)
 
-    def _parse_path_elt(self) -> PropertyPath:
+    def _parse_path_elt(self) -> TUnion[Term, PathZeroOrMore]:
         kind, value, _ = self.tokens[self.pos]
         if kind not in ("IRIREF", "PNAME", "COLONNAME", "VAR") and \
                 (kind, value) != ("NAME", "a"):
             raise self.error("expected predicate")
-        atom = PathAtom(self._parse_term())
-        return PathZeroOrMore(atom) if self.accept("*") else atom
+        term = self._parse_term()
+        return PathZeroOrMore(term) if self.accept("*") else term
 
     def _parse_node(self, allow_literal: bool = True) -> Node:
         if self.at("["):

@@ -20,13 +20,14 @@ staying cheap on asymmetric queries.
 Parts equal up to renaming slots used nowhere else render alike in any
 order, so each class of them is tried in one order only (a sequence of one
 class renders straight through); equal parts tied by shared slots
-(2-cycles) can still raise CanonicalizationLimitExceeded.  Naming states
-are copy-on-write: a rendering copies its state only when it names a new
-slot, except inside one straight-through run, whose leaves name into the
-one copy the run made.  Bare token lists and pairs of them (BGP templates,
-object-list members, ``=``/``!=`` operands) take direct paths through
-class keys and rendering, and a unique least rendering is kept without
-comparing naming states.
+(2-cycles) can still raise CanonicalizationLimitExceeded.  Class keys and
+the query-wide slot totals read one walk of the tree (a bare token list
+needs none).  Naming states are copy-on-write: a rendering copies its
+state only when it names a new slot, except inside one straight-through
+run, whose leaves name into the one copy the run made.  Bare token lists
+and pairs of them (BGP templates, object-list members, ``=``/``!=``
+operands) take direct paths through rendering, and a unique least
+rendering is kept without comparing naming states.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ from .queryparse import (
     NotExists,
     Or,
     Paren,
-    PathAtom,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
@@ -121,9 +121,7 @@ def _abstract_path(pred, prefixes) -> list:
     if kind is PathSequence:
         return _joined([_abstract_path(part, prefixes) for part in pred.parts], "/")
     if kind is PathZeroOrMore:
-        return _abstract_path(pred.inner, prefixes) + ["*"]
-    if kind is PathAtom:
-        pred = pred.term
+        return _abstract_term(pred.inner, prefixes) + ["*"]
     return _abstract_term(pred, prefixes)
 
 
@@ -263,18 +261,19 @@ class _Node:
         self.classes = None
 
 
-def _count_slots(node, counts: dict) -> dict:
-    """Add the occurrences of every slot in ``node`` and below to ``counts``."""
+def _walk_tree(node) -> tuple[list, list]:
+    """The nodes and leaves of an abstracted tree in the order a stack pops
+    them, and the tokens of those leaves in that order."""
+    items, tokens = [], []
     stack = [node]
     while stack:
-        node = stack.pop()
-        if type(node) is list:
-            for tok in node:
-                if type(tok) is tuple:
-                    counts[tok] = counts.get(tok, 0) + 1
+        item = stack.pop()
+        items.append(item)
+        if type(item) is list:
+            tokens += item
         else:
-            stack.extend(node.children)
-    return counts
+            stack.extend(item.children)
+    return items, tokens
 
 
 def _class_key(part, totals: dict) -> tuple:
@@ -282,43 +281,21 @@ def _class_key(part, totals: dict) -> tuple:
     ``totals``, they occur nowhere else) numbered by first occurrence.
     Parts with equal keys differ only by a renaming of private slots."""
     if type(part) is list:
-        leaves, key, tokens = (part,), [], part
-    elif all(type(child) is list for child in part.children):
-        # a leaf-only node (an ``=``/``!=`` pair): its leaves in the order
-        # the walk below takes them, so the key is the walk's key
-        leaves = part.children[::-1]
-        key = [(part.prefix, part.sep, part.suffix, part.order, len(leaves))]
-        tokens = [tok for leaf in leaves for tok in leaf]
+        items, tokens = (part,), part
     else:
-        return _tree_class_key(part, totals)
-    # leaves are a few tokens long: counting in them beats a dict of counts
-    renamed: dict = {}
-    for leaf in leaves:
-        key.append(len(leaf))
-        for tok in leaf:
-            if type(tok) is tuple and totals[tok] == tokens.count(tok):
-                tok = renamed.setdefault(tok, (tok[0], len(renamed)))
-            key.append(tok)
-    return tuple(key)
-
-
-def _tree_class_key(part: "_Node", totals: dict) -> tuple:
-    """``_class_key`` of a node with a node below it."""
-    local = _count_slots(part, {})
+        items, tokens = _walk_tree(part)
+    # parts are a few tokens long: counting in them beats a dict of counts
     renamed: dict = {}
     key = []
-    stack = [part]
-    while stack:
-        node = stack.pop()
-        if type(node) is list:
-            key.append(len(node))
-            for tok in node:
-                if type(tok) is tuple and local[tok] == totals[tok]:
+    for item in items:
+        if type(item) is list:
+            key.append(len(item))
+            for tok in item:
+                if type(tok) is tuple and totals[tok] == tokens.count(tok):
                     tok = renamed.setdefault(tok, (tok[0], len(renamed)))
                 key.append(tok)
         else:
-            key.append((node.prefix, node.sep, node.suffix, node.order, len(node.children)))
-            stack.extend(node.children)
+            key.append((item.prefix, item.sep, item.suffix, item.order, len(item.children)))
     return tuple(key)
 
 
@@ -417,7 +394,10 @@ class _Canonicalizer:
         if ast.verb == "SELECT":
             header += " *" if ast.projection == STAR else " ?proj"
         where = _abstract_pattern(ast.where, self.prefixes, self.max_triples)
-        self.totals = _count_slots(where, {})
+        totals = self.totals = {}  # the occurrences of each slot in the query
+        for tok in _walk_tree(where)[1]:
+            if type(tok) is tuple:
+                totals[tok] = totals.get(tok, 0) + 1
         body, _states = self._render(where, [_Namer()])
         return header + " WHERE " + body
 

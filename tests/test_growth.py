@@ -19,25 +19,31 @@ import cqowl
 from cqowl.cli import main
 from cqowl.linguistics import annotate_sentence
 from cqowl.queryparse import parse_query
+from cqowl.records import Record
 from cqowl.signatures import canonicalize
-from tests.conftest import _replicas
+from tests.conftest import CORPUS_PATH, _replicas
 
 PACKAGE = str(Path(cqowl.__file__).parent)
+RECORD_INIT = Record.__init__.__code__
 
 
-def _report_calls(corpus, out) -> tuple[Counter, int]:
+def _report_calls(corpus, out, *options,
+                  records: Counter | None = None) -> tuple[Counter, int]:
     """Calls per code object of the package in one ``report``, and the
-    number of signature groups it wrote."""
+    number of signature groups it wrote; ``records``, if given, counts the
+    records built, by class name."""
     calls: Counter = Counter()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
             calls[frame.f_code] += 1
+            if records is not None and frame.f_code is RECORD_INIT:
+                records[type(frame.f_locals["self"]).__name__] += 1
 
     sys.setprofile(count)
     try:
         status = main(["report", "--corpus", str(corpus), "--out", str(out),
-                       "--paper-calibration"])
+                       "--paper-calibration", *options])
     finally:
         sys.setprofile(None)
     assert status == 0
@@ -59,3 +65,14 @@ def test_report_calls_grow_at_most_linearly(tmp_path):
         code = function.__code__
         assert calls1[code] > 0 and calls4[code] == 4 * calls1[code], function
     assert groups1 == groups4 == 53
+
+
+def test_report_builds_each_record_once(tmp_path):
+    # one candidate per CQ, not a copy after overrides; one pattern per
+    # merged higher-level text, not a throwaway per pattern; path steps
+    # are their terms, not wrapped
+    records: Counter = Counter()
+    _report_calls(CORPUS_PATH, tmp_path / "out", "--emit", "csv,md", records=records)
+    assert records["CandidateRecord"] == 234
+    assert records["Pattern"] == 107 + 81
+    assert sum(records.values()) <= 6950, records.most_common()

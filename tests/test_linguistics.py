@@ -252,3 +252,34 @@ def test_typographic_possessive_splits_tags_and_attaches_like_ascii(apostrophe):
         ["Where", f"{apostrophe}s"]
     assert linguistics._detokenize(["tool", f"{apostrophe}s", "licence"]) == \
         f"tool{apostrophe}s licence"
+
+
+@pytest.mark.parametrize("apostrophe", ["'", "’"])
+def test_re_clitic_splits_and_tags_like_are(apostrophe):
+    text = f"Which tools{apostrophe}re used by a lab?"
+    assert [t.surface for t in tokenize(text)][:3] == ["Which", "tools", f"{apostrophe}re"]
+    assert annotate_sentence("t", text).tokens[2].pos == "AUX"
+    assert candidate(text) == candidate("Which tools are used by a lab?") == \
+        "Which EC1 PC1 EC2"
+    # a clitic standing alone keeps its apostrophe
+    assert [t.surface for t in tokenize(f"What {apostrophe}re the inputs?")][1] == \
+        f"{apostrophe}re"
+
+
+@pytest.mark.parametrize("word, expected", [
+    ("'sample'", ["sample"]),
+    ("'should'", ["should"]),
+    ('"sample"', ["sample"]),
+    ("‘result’", ["result"]),
+    ("'s", ["'s"]),
+    ("'s?", ["'s", "?"]),
+    ("\"'s\"", ["'s"]),
+    ("’re,", ["’re", ","]),
+])
+def test_an_opening_quote_stays_only_on_a_clitic(word, expected):
+    assert [t.surface for t in tokenize(word)] == expected
+
+
+def test_a_quoted_auxiliary_is_tagged_as_one():
+    tokens = annotate_sentence("t", "Which tools 'should' be used?").tokens
+    assert [(t.surface, t.pos) for t in tokens[2:4]] == [("should", "AUX"), ("be", "AUX")]

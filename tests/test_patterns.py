@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqowl.correspondence import SignalRule, rule_matches
 from cqowl.patterns import (
     CandidateRecord,
     CqFeatures,
     avg_cqs_per_pattern,
     classify_cq,
     coverage_stats,
+    cq_words,
     cross_set_reuse,
     filter_candidates,
     higher_level_inventory,
@@ -255,6 +257,18 @@ def test_avg_cqs_per_pattern_division_guard():
 ])
 def test_classify_rows(text, expected):
     assert classify_cq(text) == expected
+
+
+@pytest.mark.parametrize("opening, closing", ['""', "''", "“”", "‘’"])
+def test_cq_words_strip_the_tokenizers_quote_marks(opening, closing):
+    # the tagger strips these marks from word edges, so the CQ features and
+    # the word signal rules must read the same words
+    text = f"{opening}Which tools are {opening}never{closing} used{closing}?"
+    assert cq_words(text) == ["which", "tools", "are", "never", "used"]
+    assert classify_cq(text).polarity == "Negative"
+    assert classify_cq(f"{opening}How many EC RC?{closing}").question_type == "Count"
+    rule = SignalRule("r", "initial_word_class", ("which",), "verb", "SELECT")
+    assert rule_matches(rule, text, "")
 
 
 def test_classify_dinde_values():

@@ -9,7 +9,6 @@ from cqowl.queryparse import (
     BlankPropertyList,
     Filter,
     KEYWORD_INVENTORY,
-    PathAtom,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
@@ -66,9 +65,9 @@ def test_property_path_sequence():
     path = pairs[0][0]
     assert isinstance(path, PathSequence)
     first, middle, last = path.parts
-    assert isinstance(first, PathAtom)
-    assert isinstance(middle, PathZeroOrMore)
-    assert isinstance(last, PathAtom)
+    assert first == PrefixedName("owl", "unionOf")
+    assert middle == PathZeroOrMore(PrefixedName("rdf", "rest"))
+    assert last == PrefixedName("rdf", "first")
 
 
 def test_minimal_ask():

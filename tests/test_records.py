@@ -17,7 +17,6 @@ from cqowl.queryparse import (
     In,
     Literal,
     Or,
-    PathAtom,
     PathSequence,
     PrefixedName,
     TermRef,
@@ -81,9 +80,8 @@ def test_construction_checks_arguments():
 
 
 def test_post_init_checks_still_run():
-    atom = PathAtom(PrefixedName("ex", "p"))
     with pytest.raises(ValueError):
-        PathSequence((atom,))
+        PathSequence((PrefixedName("ex", "p"),))
     with pytest.raises(ValueError):
         In(TermRef(Variable("x")), ())
 
