@@ -168,6 +168,17 @@ def read_text(path: Path) -> str:
         raise CorpusError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _require_encodable(text: str, value, where: str) -> None:
+    """Reject ``value``, parsed from the JSON ``text``, when a ``\\u`` escape
+    made a lone surrogate in it, which no UTF-8 output can hold."""
+    if "\\u" in text:  # only an escape can make one
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"{where}: a \\u escape makes a lone surrogate, "
+                              "which no UTF-8 output can hold") from exc
+
+
 _WORD_CHAR = re.compile(r"\w")
 
 
@@ -267,6 +278,7 @@ def load_jsonl(path: Path) -> Corpus:
             raise CorpusError(
                 f"{path}:{lineno}: field 'answers' must be a list of strings"
             )
+        _require_encodable(line, record, f"{path}:{lineno}")
         _require_word(record["cq"], f"{path}:{lineno}")
         try:
             spans = placeholder_spans(record["cq"])
@@ -315,10 +327,12 @@ def load_dataset_dir(root: Path) -> Corpus:
         manifest_path = onto_dir / "manifest.json"
         if not manifest_path.exists():
             raise CorpusError(f"{onto_dir}: missing manifest.json")
+        text = read_text(manifest_path)
         try:
-            manifest = json.loads(read_text(manifest_path))
+            manifest = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
+        _require_encodable(text, manifest, str(manifest_path))
         if not isinstance(manifest, dict):
             raise CorpusError(f"{manifest_path}: expected a JSON object")
         name = manifest.get("ontology")

@@ -35,8 +35,10 @@ class Table(Record, frozen=False):
         return buf.getvalue()
 
     def to_markdown(self) -> str:
-        # a '|' inside a cell would start a new column, a newline a new row
-        cells = [[str(c).replace("|", "\\|").replace("\n", " ") for c in row]
+        # a '|' inside a cell would start a new column, a line ending (CR LF,
+        # CR or LF) a new row
+        cells = [[str(c).replace("|", "\\|").replace("\r\n", " ").replace("\r", " ")
+                  .replace("\n", " ") for c in row]
                  for row in [self.columns, *self.rows]]
         widths = [max(map(len, column)) for column in zip(*cells)]
         def line(row):

@@ -24,10 +24,14 @@ class renders straight through); equal parts tied by shared slots
 the query-wide slot totals read one walk of the tree (a bare token list
 needs none).  Naming states are copy-on-write: a rendering copies its
 state only when it names a new slot, except inside one straight-through
-run, whose leaves name into the one copy the run made.  Bare token lists
-and pairs of them (BGP templates, object-list members, ``=``/``!=``
-operands) take direct paths through rendering, and a unique least
-rendering is kept without comparing naming states.
+run, whose leaves name into the one copy the run made.  An ``=``/``!=``
+whose operands render from different first characters under any naming
+(``?`` for a variable, ``_`` for a blank, a fixed token's own first
+character) is decided by its text: abstraction writes the lesser order as
+one leaf, so the search never tries the other.  Bare token lists (BGP
+templates, object-list members, decided comparisons) take direct paths
+through rendering, and a unique least rendering is kept without comparing
+naming states.
 """
 from __future__ import annotations
 
@@ -90,7 +94,9 @@ class Signature(Record):
 # A leaf (a triple template or a term) is a token list whose entries are
 # fixed strings or slot markers ("var", key) / ("blank", key); the key is the
 # source name so that repeated occurrences share one canonical name later.
-# Every other node is a ``_Node``.
+# Every other node is a ``_Node``.  Graph patterns and expressions are
+# abstracted by ``_Canonicalizer`` methods, since a comparison's form
+# depends on whether the canonicalizer searches.
 
 
 def _abstract_term(term, prefixes: dict[str, str]) -> list:
@@ -166,6 +172,14 @@ def _erased(tokens: Iterable) -> str:
     return " ".join(parts)
 
 
+def _first_char(tokens: list) -> str:
+    """The first character of ``tokens``' rendering under every naming."""
+    tok = tokens[0]
+    if type(tok) is tuple:
+        return "?" if tok[0] == "var" else "_"
+    return tok[0]
+
+
 def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
     """Expand object lists so each template is a single s/p/o rendering."""
     templates = []
@@ -177,69 +191,6 @@ def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
             template.append(".")
             templates.append(template)
     return templates
-
-
-def _abstract_pattern(item: GraphPattern, prefixes, max_triples: int) -> "_Node":
-    if isinstance(item, Group):
-        children = [_abstract_pattern(child, prefixes, max_triples) for child in item.items]
-        return _Node("{\n", "\n", "\n}", children=children) if children else _Node("{\n}")
-    if isinstance(item, Bgp):
-        templates = _flatten_triples(item, prefixes)
-        if len(templates) > max_triples:
-            raise CanonicalizationLimitExceeded(
-                f"BGP has {len(templates)} triples, over the bound of "
-                f"{max_triples}"
-            )
-        return _Node(sep="\n", order="seq", children=templates)
-    if isinstance(item, Filter):
-        return _Node("FILTER(", suffix=")",
-                     children=[_abstract_expr(item.expr, prefixes, top=True)])
-    if isinstance(item, NotExists):
-        return _Node("FILTER NOT EXISTS ", children=[
-            _abstract_pattern(item.pattern, prefixes, max_triples)])
-    if isinstance(item, Bind):
-        return _Node("BIND(", " AS ", ")", children=[
-            _abstract_expr(item.expr, prefixes), _abstract_term(item.var, prefixes)])
-    if isinstance(item, UnionPattern):
-        return _Node(sep=" UNION ", children=[
-            _abstract_pattern(item.left, prefixes, max_triples),
-            _abstract_pattern(item.right, prefixes, max_triples)])
-    raise TypeError(f"unknown graph pattern {item!r}")
-
-
-def _abstract_expr(expr: Expr, prefixes, top: bool = False) -> "_Node | list":
-    """``expr`` abstracted; ``top`` marks a FILTER's own expression, whose
-    ``&&`` or ``||`` gets no parentheses."""
-    kind = type(expr)
-    if kind is TermRef:
-        return _abstract_term(expr.term, prefixes)
-    if kind is Compare:
-        if expr.op not in ("=", "!="):
-            raise TypeError(f"unexpected comparison {expr.op}")
-        return _Node(sep=f" {expr.op} ", order="pair",
-                     children=[_abstract_expr(expr.left, prefixes),
-                               _abstract_expr(expr.right, prefixes)])
-    if kind is And or kind is Or:
-        sep = " && " if kind is And else " || "
-        return _Node("" if top else "(", sep, "" if top else ")", order="seq",
-                     children=[_abstract_expr(p, prefixes) for p in expr.parts])
-    if kind is Paren:
-        return _abstract_expr(expr.inner, prefixes, top)
-    if kind is In:
-        return _Node(sep=" IN ", children=[
-            _abstract_expr(expr.needle, prefixes),
-            _Node("(", ", ", ")", children=[_abstract_expr(o, prefixes)
-                                            for o in expr.options])])
-    if kind is FnCall:
-        name = expr.name if isinstance(expr.name, str) \
-            else "".join(_abstract_term(expr.name, prefixes))
-        return _Node(name + "(", ", ", ")",
-                     children=[_abstract_expr(a, prefixes) for a in expr.args])
-    if kind is Arith:
-        return _Node("(", f" {expr.op} ", ")",
-                     children=[_abstract_expr(expr.left, prefixes),
-                               _abstract_expr(expr.right, prefixes)])
-    raise TypeError(f"unknown expression {expr!r}")
 
 
 class _Node:
@@ -393,13 +344,75 @@ class _Canonicalizer:
             header += " DISTINCT"
         if ast.verb == "SELECT":
             header += " *" if ast.projection == STAR else " ?proj"
-        where = _abstract_pattern(ast.where, self.prefixes, self.max_triples)
+        where = self._abstract_pattern(ast.where)
         totals = self.totals = {}  # the occurrences of each slot in the query
         for tok in _walk_tree(where)[1]:
             if type(tok) is tuple:
                 totals[tok] = totals.get(tok, 0) + 1
         body, _states = self._render(where, [_Namer()])
         return header + " WHERE " + body
+
+    def _abstract_pattern(self, item: GraphPattern) -> _Node:
+        if isinstance(item, Group):
+            children = [self._abstract_pattern(child) for child in item.items]
+            return _Node("{\n", "\n", "\n}", children=children) if children else _Node("{\n}")
+        if isinstance(item, Bgp):
+            templates = _flatten_triples(item, self.prefixes)
+            if len(templates) > self.max_triples:
+                raise CanonicalizationLimitExceeded(
+                    f"BGP has {len(templates)} triples, over the bound of "
+                    f"{self.max_triples}"
+                )
+            return _Node(sep="\n", order="seq", children=templates)
+        if isinstance(item, Filter):
+            return _Node("FILTER(", suffix=")",
+                         children=[self._abstract_expr(item.expr, top=True)])
+        if isinstance(item, NotExists):
+            return _Node("FILTER NOT EXISTS ", children=[self._abstract_pattern(item.pattern)])
+        if isinstance(item, Bind):
+            return _Node("BIND(", " AS ", ")", children=[
+                self._abstract_expr(item.expr), _abstract_term(item.var, self.prefixes)])
+        if isinstance(item, UnionPattern):
+            return _Node(sep=" UNION ", children=[
+                self._abstract_pattern(item.left), self._abstract_pattern(item.right)])
+        raise TypeError(f"unknown graph pattern {item!r}")
+
+    def _abstract_expr(self, expr: Expr, top: bool = False) -> _Node | list:
+        """``expr`` abstracted; ``top`` marks a FILTER's own expression, whose
+        ``&&`` or ``||`` gets no parentheses."""
+        kind = type(expr)
+        if kind is TermRef:
+            return _abstract_term(expr.term, self.prefixes)
+        if kind is Compare:
+            if expr.op not in ("=", "!="):
+                raise TypeError(f"unexpected comparison {expr.op}")
+            left, right = self._abstract_expr(expr.left), self._abstract_expr(expr.right)
+            if self.search and type(left) is list and type(right) is list:
+                # operands that render from different first characters, under
+                # any naming, take the lesser order here: one leaf, no search
+                lead, other = _first_char(left), _first_char(right)
+                if lead != other:
+                    return left + [expr.op] + right if lead < other else right + [expr.op] + left
+            return _Node(sep=f" {expr.op} ", order="pair", children=[left, right])
+        if kind is And or kind is Or:
+            sep = " && " if kind is And else " || "
+            return _Node("" if top else "(", sep, "" if top else ")", order="seq",
+                         children=[self._abstract_expr(p) for p in expr.parts])
+        if kind is Paren:
+            return self._abstract_expr(expr.inner, top)
+        if kind is In:
+            return _Node(sep=" IN ", children=[
+                self._abstract_expr(expr.needle),
+                _Node("(", ", ", ")", children=[self._abstract_expr(o) for o in expr.options])])
+        if kind is FnCall:
+            name = expr.name if isinstance(expr.name, str) \
+                else "".join(_abstract_term(expr.name, self.prefixes))
+            return _Node(name + "(", ", ", ")",
+                         children=[self._abstract_expr(a) for a in expr.args])
+        if kind is Arith:
+            return _Node("(", f" {expr.op} ", ")", children=[
+                self._abstract_expr(expr.left), self._abstract_expr(expr.right)])
+        raise TypeError(f"unknown expression {expr!r}")
 
     def _classes(self, parts: list) -> list[list]:
         """``parts`` grouped into classes of interchangeable parts, in source
@@ -504,15 +517,6 @@ class _Canonicalizer:
         orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)
         children, sep = node.children, node.sep
         candidates: list[tuple[str, _Namer]] = []
-        if len(states) == 1 and type(children[0]) is list and type(children[1]) is list:
-            # two leaves from one state: each order is two ``render`` calls
-            state = states[0]
-            for first, second in orders:
-                self._bump()
-                left, mid = state.render(children[first])
-                right, out = mid.render(children[second])
-                candidates.append((left + sep + right, out))
-            return _keep_min(candidates)
         for state in states:
             for first, second in orders:
                 self._bump()

@@ -270,6 +270,19 @@ def test_markdown_cells_escape_pipes(tmp_path):
     assert r"\|\|" in row
 
 
+@pytest.mark.parametrize("ending", ["\r", "\r\n", "\n"])
+def test_markdown_cells_turn_each_line_ending_into_one_space(tmp_path, ending):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": qid, "ontology": "AWO", "cq": "Which plants eat animals?"}) + "\n"
+        for qid in (f"q{ending}1", "q2")), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("chunk", "--corpus", corpus, "--out", out, "--emit", "md") == 0
+    text = (out / "chunks.md").read_bytes().decode("utf-8")
+    assert len(text.splitlines()) == 4  # the header, its rule and two rows
+    assert "| q 1 " in text and "\r" not in text
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--emit", "csv,html"),
     ("--emit", ""),

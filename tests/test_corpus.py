@@ -68,6 +68,22 @@ def test_malformed_record_reports_line_and_field(tmp_path):
         load_corpus(path, format="jsonl")
 
 
+@pytest.mark.parametrize("field", ["id", "cq", "query"])
+def test_lone_surrogate_escape_rejected(tmp_path, field):
+    # JSON can spell a lone surrogate, but no UTF-8 output file can hold it
+    record = {"id": "x1", "ontology": "AWO", "cq": "Which plants eat animals?",
+              "query": "ASK { ?x a awo:plant }"}
+    record[field] += "\ud800"
+    path = tmp_path / "odd.jsonl"
+    write_lines(path, [json.dumps({"id": "x0", "ontology": "AWO", "cq": "Which tools?"}),
+                       json.dumps(record)])
+    with pytest.raises(CorpusError, match=r"odd.jsonl:2: .*lone surrogate"):
+        load_corpus(path, format="jsonl")
+    record[field] = record[field][:-1] + "😀"  # a pair is one character
+    write_lines(path, [json.dumps(record)])
+    assert load_corpus(path, format="jsonl").questions[0].id.startswith("x1")
+
+
 def test_unbalanced_brackets_rejected(tmp_path):
     path = tmp_path / "brackets.jsonl"
     write_lines(path, [json.dumps({"id": "x1", "ontology": "AWO",
@@ -121,6 +137,15 @@ def test_dataset_dir_missing_manifest(tmp_path):
     (root / "broken" / "questions").mkdir(parents=True)
     with pytest.raises(CorpusError, match="manifest.json"):
         load_corpus(root, format="dataset_dir")
+
+
+def test_dataset_dir_manifest_with_lone_surrogate_rejected(tmp_path):
+    onto = tmp_path / "dataset" / "awo"
+    (onto / "questions").mkdir(parents=True)
+    (onto / "questions" / "q1.txt").write_text("Which plants eat animals?", encoding="utf-8")
+    (onto / "manifest.json").write_text(json.dumps({"ontology": "AW\ud800O"}), encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"awo/manifest.json: .*lone surrogate"):
+        load_corpus(tmp_path / "dataset", format="dataset_dir")
 
 
 def test_unknown_ontology_reference_rejected():
