@@ -594,14 +594,12 @@ class _Parser:
         return FnCall(name, tuple(args))
 
 
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+
+
 def _unescape_string(raw: str) -> str:
-    return (
-        raw.replace("\\\\", "\x00")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\x00", "\\")
-    )
+    """``raw`` with its escapes read in one pass; any other ``\\x`` stays."""
+    return re.sub(r"(?s)\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), raw)
 
 
 def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAst:

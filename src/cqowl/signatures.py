@@ -9,13 +9,16 @@ for a concrete ontology term, literals become ``:LIT`` (keeping the
 datatype), and variables / labeled blank nodes are renamed canonically.
 
 Abstraction fixes all skeleton text.  The search chooses only the order
-of the orderable parts (the triples of a BGP, the operands of ``&&``/``||``
-and of ``=``/``!=``), with ``?v1``/``_:b1``-style names assigned in
-first-occurrence order per candidate.  The canonical skeleton is the least
-rendering over all those orders.  The minimum is found by a greedy
-best-first walk that ranks each part with the separator after it and
-branches on exact ties, so it equals the brute-force minimum while
-staying cheap on asymmetric queries.
+of the parts of each sequence (the triples of a BGP, the operands of
+``&&``/``||`` and the two of ``=``/``!=``), with ``?v1``/``_:b1``-style
+names assigned in first-occurrence order per candidate.  The canonical
+skeleton is the least rendering over all those orders.  The minimum is
+found by a greedy best-first walk that ranks each part with the
+separator after it and branches on exact ties, so it equals the
+brute-force minimum while staying cheap on asymmetric queries.  A
+comparison or ``IN`` operand of a comparison, ``IN`` or arithmetic keeps
+the brackets SPARQL requires, which keeps the walk's precondition; so a
+skeleton (``:LIT`` written ``"LIT"``) parses and canonicalizes to itself.
 
 Parts equal up to renaming slots used nowhere else render alike in any
 order, so each class of them is tried in one order only (a sequence of one
@@ -196,10 +199,10 @@ def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
 class _Node:
     """An abstracted graph pattern or expression with its final text: it
     renders as ``prefix + sep.join(children) + suffix``, its children in
-    source order (``"fixed"``), their least order (``"seq"``) or the lesser
-    of their two orders (``"pair"``).  Leaves stay bare token lists: one more
-    object per triple made each canonicalization measurably slower.  A
-    ``"seq"`` node keeps its children's classes once they are computed."""
+    source order (``"fixed"``) or their least order (``"seq"``: a BGP, an
+    ``&&``/``||`` or an undecided ``=``/``!=``).  Leaves stay bare token
+    lists: one more object per triple made each canonicalization measurably
+    slower.  A ``"seq"`` node keeps its children's classes once computed."""
 
     __slots__ = ("prefix", "sep", "suffix", "order", "children", "classes")
 
@@ -323,10 +326,10 @@ class _Canonicalizer:
     variables, and dropping one would make later fragments depend on the
     input order.  A step ranks each part followed by the separator:
     ``?v1`` is a prefix of ``?v1 = ?v3``, but ``?v1 || `` follows
-    ``?v1 = ?v3 || ``.  No part holds its separator outside brackets, so
-    the least ranked fragment leads to the global minimum; at the last
-    step, candidates differ only in slot numbers, and what follows them
-    sorts before any digit.
+    ``?v1 = ?v3 || ``.  No part holds its separator outside brackets
+    (``_operand`` brackets a nested comparison), so the least ranked
+    fragment leads to the global minimum; at the last step, candidates
+    differ only in slot numbers, and what follows them sorts before any digit.
 
     One instance renders one query.
     """
@@ -386,14 +389,14 @@ class _Canonicalizer:
         if kind is Compare:
             if expr.op not in ("=", "!="):
                 raise TypeError(f"unexpected comparison {expr.op}")
-            left, right = self._abstract_expr(expr.left), self._abstract_expr(expr.right)
+            left, right = self._operand(expr.left), self._operand(expr.right)
             if self.search and type(left) is list and type(right) is list:
                 # operands that render from different first characters, under
                 # any naming, take the lesser order here: one leaf, no search
                 lead, other = _first_char(left), _first_char(right)
                 if lead != other:
                     return left + [expr.op] + right if lead < other else right + [expr.op] + left
-            return _Node(sep=f" {expr.op} ", order="pair", children=[left, right])
+            return _Node(sep=f" {expr.op} ", order="seq", children=[left, right])
         if kind is And or kind is Or:
             sep = " && " if kind is And else " || "
             return _Node("" if top else "(", sep, "" if top else ")", order="seq",
@@ -402,7 +405,7 @@ class _Canonicalizer:
             return self._abstract_expr(expr.inner, top)
         if kind is In:
             return _Node(sep=" IN ", children=[
-                self._abstract_expr(expr.needle),
+                self._operand(expr.needle),
                 _Node("(", ", ", ")", children=[self._abstract_expr(o) for o in expr.options])])
         if kind is FnCall:
             name = expr.name if isinstance(expr.name, str) \
@@ -411,8 +414,18 @@ class _Canonicalizer:
                          children=[self._abstract_expr(a) for a in expr.args])
         if kind is Arith:
             return _Node("(", f" {expr.op} ", ")", children=[
-                self._abstract_expr(expr.left), self._abstract_expr(expr.right)])
+                self._operand(expr.left), self._operand(expr.right)])
         raise TypeError(f"unknown expression {expr!r}")
+
+    def _operand(self, expr: Expr) -> _Node | list:
+        """``expr`` as an operand of a comparison, ``IN`` or arithmetic: a
+        comparison or ``IN`` there renders in brackets, as SPARQL requires."""
+        while type(expr) is Paren:
+            expr = expr.inner
+        node = self._abstract_expr(expr)
+        if type(expr) is Compare or type(expr) is In:
+            return _Node("(", suffix=")", children=[node])
+        return node
 
     def _classes(self, parts: list) -> list[list]:
         """``parts`` grouped into classes of interchangeable parts, in source
@@ -437,8 +450,6 @@ class _Canonicalizer:
             return _keep_min([state.render(node) for state in states])
         if node.order == "seq":
             text, states = self._min_sequence(node, states)
-        elif node.order == "pair":
-            text, states = self._render_commutative_pair(node, states)
         else:
             texts = []
             for child in node.children:
@@ -513,19 +524,6 @@ class _Canonicalizer:
             self._bump(len(frontier))
         return "".join(emitted), [nm for _, nm in frontier]
 
-    def _render_commutative_pair(self, node: _Node, states: list[_Namer]) -> tuple[str, list[_Namer]]:
-        orders = ((0, 1), (1, 0)) if self.search else ((0, 1),)
-        children, sep = node.children, node.sep
-        candidates: list[tuple[str, _Namer]] = []
-        for state in states:
-            for first, second in orders:
-                self._bump()
-                left, mids = self._render(children[first], [state])
-                for mid in mids:
-                    right, outs = self._render(children[second], [mid])
-                    candidates.extend((f"{left}{sep}{right}", out) for out in outs)
-        return _keep_min(candidates)
-
 
 def canonicalize(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES) -> Signature:
     """Compute the canonical URI-agnostic signature of a parsed query."""
@@ -535,7 +533,7 @@ def canonicalize(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES) -> Signa
 
 
 def render_in_source_order(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES) -> str:
-    """Abstracted rendering that keeps the AST's own triple/conjunct order.
+    """Abstracted rendering in the source order of triples, conjuncts and operands.
 
     This is the building block for brute-force oracles: the canonical
     skeleton must equal the minimum of this rendering over all permutations

@@ -299,3 +299,17 @@ def test_language_tagged_literals_round_trip():
     text = serialize_query(ast)
     assert '"lion"@en, "Löwe"@de-DE' in text
     assert parse_query(text, PREFIXES) == ast
+
+
+@pytest.mark.parametrize("escaped, lexical", [
+    (r"a\\b", "a\\b"),
+    (r"a\"b", 'a"b'),
+    (r"a\nb\tc", "a\nb\tc"),
+    (r"a\\nb", "a\\nb"),
+    (r"a\ub", "a\\ub"),
+    ("a\x00b", "a\x00b"),  # the NUL is a character, not a marker for a backslash
+])
+def test_string_escapes_read_in_one_pass(escaped, lexical):
+    ast = parse_query(f'ASK {{ ?x awo:p "{escaped}" . }}', PREFIXES)
+    assert ast.where.items[0].triples[0].objects[0].lexical == lexical
+    assert parse_query(serialize_query(ast), PREFIXES) == ast

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import re
 import string
+from pathlib import Path
 
 import pytest
 
@@ -724,14 +726,23 @@ def _filter_variants(node, top: bool = False):
         yield node[1]
     elif node[0] == "pair":
         _, op, left, right = node
-        yield f"{left} {op} {right}"
-        yield f"{right} {op} {left}"
+        for first, second in ((left, right), (right, left)):
+            for a, b in itertools.product(_operand_texts(first), _operand_texts(second)):
+                yield f"{a} {op} {b}"
     else:
         _, op, operands = node
         for order in itertools.permutations(operands):
             for texts in itertools.product(*(list(_filter_variants(o)) for o in order)):
                 body = f" {op} ".join(texts)
                 yield body if top else f"({body})"
+
+
+def _operand_texts(operand) -> list[str]:
+    """The texts of a comparison's operand: a term, or a nested ``pair``
+    node in brackets."""
+    if type(operand) is str:
+        return [operand]
+    return [f"({text})" for text in _filter_variants(operand)]
 
 
 def test_filter_operand_kinds_keep_global_minimum():
@@ -842,6 +853,120 @@ def test_decided_comparisons_keep_global_minimum():
 
 def test_bundled_queries_branch_total(bundle):
     # the exact work of the search on the bundled corpus, where 51 queries
-    # hold a comparison decided by its text
+    # hold a comparison decided by its text and 2 an undecided one, searched
+    # as a sequence of two operands
     assert len(bundle.asts) == 131
-    assert sum(_branches(ast) for ast in bundle.asts.values()) == 743
+    assert sum(_branches(ast) for ast in bundle.asts.values()) == 751
+
+
+# ---------------------------------------------------------------------------
+# nested comparisons: a comparison or IN that is an operand of a comparison,
+# IN or arithmetic keeps its brackets, so each skeleton is itself a query
+
+_NESTED_TERMS = ["?a", "?b", "?c", "?d", "ex:C", '"x"']
+_NESTED_BGP = ["?a ex:p ?b .", "?c ex:p ?d ."]
+# comparisons and IN in every operand position that needs brackets
+_NESTED_BY_HAND = ["(?a = ?b) = ?c", "?a = (?b = ?c)", "(?a != ?b) != (?c != ?b)",
+                   "?a != (?b != (?b != ?c))", "((?a = ?b)) = ?c",
+                   "(?a IN (?b, ex:C)) = ?c", "(?a = ?b) IN (?c, ex:C)",
+                   "(?a IN (?b)) IN (?c, ?d = ex:C)", "(?a = ?b) + ?c = ?d",
+                   "?a - (?b IN (?c)) != ?d"]
+
+
+def _nested_comparison(rng: random.Random, depth: int = 3):
+    """An ``=``/``!=`` tree of at most ``depth`` levels in the node format
+    of ``_filter_operand``: each operand is a term or such a tree."""
+    def operand():
+        if depth > 1 and rng.random() < 0.4:
+            return _nested_comparison(rng, depth - 1)
+        return rng.choice(_NESTED_TERMS)
+    return ("pair", rng.choice(("=", "!=")), operand(), operand())
+
+
+def _nested_comparisons(rng: random.Random, count: int) -> list:
+    """``count`` trees of ``_nested_comparison``, each nesting one at least."""
+    trees = []
+    while len(trees) < count:
+        tree = _nested_comparison(rng)
+        if type(tree[2]) is tuple or type(tree[3]) is tuple:
+            trees.append(tree)
+    return trees
+
+
+def test_nested_comparisons_keep_their_brackets():
+    skeletons = {}
+    for text in _NESTED_BY_HAND:
+        skeleton = canonicalize(_compared_query([], text)).skeleton
+        skeletons.setdefault(skeleton.split("\n")[1], []).append(text)
+    assert skeletons == {
+        "FILTER((?v1 = ?v2) = ?v3)": ["(?a = ?b) = ?c", "?a = (?b = ?c)", "((?a = ?b)) = ?c"],
+        "FILTER((?v1 != ?v2) != (?v1 != ?v3))": ["(?a != ?b) != (?c != ?b)"],
+        "FILTER(((?v1 != ?v2) != ?v1) != ?v3)": ["?a != (?b != (?b != ?c))"],
+        "FILTER((?v1 IN (?v2, :URI)) = ?v3)": ["(?a IN (?b, ex:C)) = ?c"],
+        "FILTER((?v1 = ?v2) IN (?v3, :URI))": ["(?a = ?b) IN (?c, ex:C)"],
+        "FILTER((?v1 IN (?v2)) IN (?v3, :URI = ?v4))": ["(?a IN (?b)) IN (?c, ?d = ex:C)"],
+        "FILTER(((?v1 = ?v2) + ?v3) = ?v4)": ["(?a = ?b) + ?c = ?d"],
+        "FILTER((?v1 - (?v2 IN (?v3))) != ?v4)": ["?a - (?b IN (?c)) != ?d"],
+    }
+
+
+def test_nested_comparisons_keep_global_minimum():
+    rng = random.Random(2121)
+    for tree in _nested_comparisons(rng, 250):
+        texts = list(_filter_variants(tree, top=True))
+        want = min(render_in_source_order(_compared_query(triples, text))
+                   for triples in itertools.permutations(_NESTED_BGP) for text in texts)
+        for text in (texts[0], rng.choice(texts)):
+            assert canonicalize(_compared_query(_NESTED_BGP, text)).skeleton == want, text
+
+
+def _gen_queries() -> list[QueryAst]:
+    """The adversarial queries that ``perfbench/gen.py`` makes for seeds 1
+    and 2, the generator loaded from its file as the benchmark has it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [parse_query(record["text"]) for seed in (1, 2)
+            for queries in gen.adversarial_set(seed) for record in queries]
+
+
+def _filter_operand_queries(rng: random.Random, count: int) -> list[QueryAst]:
+    """Queries whose FILTER is an ``&&``/``||`` of ``_filter_operand`` trees,
+    built as ``test_filter_operand_kinds_keep_global_minimum`` builds them."""
+    queries = []
+    for _ in range(count):
+        operands = []
+        for _ in range(rng.randint(2, 3)):
+            nested = not any(o[0] == "seq" for o in operands)
+            operands.append(_filter_operand(rng, "abcd", nested))
+        text = next(_filter_variants(("seq", rng.choice(("&&", "||")), operands), top=True))
+        queries.append(parse_query(f"ASK {{ ?a ex:p ?b . FILTER({text}) }}", PREFIXES))
+    return queries
+
+
+def _fixed_point_inputs(family: str, request) -> list[QueryAst]:
+    if family == "bundled":
+        return list(request.getfixturevalue("bundle").asts.values())
+    if family == "gen":
+        return _gen_queries()
+    if family == "random ast":
+        rng = random.Random(5)
+        return [_random_ast(rng) for _ in range(1500)]
+    if family == "filter operands":
+        return _filter_operand_queries(random.Random(33), 1000)
+    texts = _NESTED_BY_HAND + [next(_filter_variants(tree, top=True))
+                               for tree in _nested_comparisons(random.Random(21), 200)]
+    return [_compared_query(_NESTED_BGP, text) for text in texts]
+
+
+@pytest.mark.parametrize("family", ["bundled", "gen", "random ast", "filter operands",
+                                    "nested"])
+def test_skeleton_is_a_query_that_canonicalizes_to_itself(family, request):
+    # each :LIT is written as a literal, keeping its datatype, and only ``:``
+    # is declared: the parser knows the reserved prefixes
+    for ast in _fixed_point_inputs(family, request):
+        skeleton = canonicalize(ast).skeleton
+        again = parse_query(skeleton.replace(":LIT", '"LIT"'),
+                            {"": "http://example.org/skeleton#"})
+        assert canonicalize(again).skeleton == skeleton, skeleton
