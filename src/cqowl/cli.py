@@ -27,7 +27,7 @@ from .corpus import (
     translatability_report,
 )
 from .queryparse import DEFAULT_MAX_TRIPLES, keyword_report, serialize_query
-from .reporting import Table, write_jsonl, write_text
+from .reporting import FORMATS, Table, write_jsonl, write_text
 
 if TYPE_CHECKING:
     from .correspondence import SignalRule
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
     parser.add_argument("--emit", default="csv,md",
-                        help="comma-separated report formats (csv, md)")
+                        help=f"comma-separated report formats ({', '.join(FORMATS)})")
     parser.add_argument("--max-triples", type=int, default=DEFAULT_MAX_TRIPLES,
                         help="canonicalization bound per BGP")
     parser.add_argument("--stoplist", type=Path, default=None,
@@ -144,10 +144,7 @@ def _dispatch(args) -> int:
     )
 
     def emit(name: str, columns: list[str], rows) -> None:
-        table = Table(name, columns)
-        for row in rows:
-            table.add(*row)
-        table.write(args.out, formats)
+        Table.of(name, columns, rows).write(args.out, formats)
 
     steps = STEPS.values() if args.command == "report" else [STEPS[args.command]]
     for step in steps:
@@ -164,11 +161,12 @@ def _check_flags(args) -> list[str]:
     contents of those files.
     """
     formats = [f.strip() for f in args.emit.split(",") if f.strip()]
+    expected = " or ".join(FORMATS)
     if not formats:
-        raise FlagError(f"--emit: no format in {args.emit!r}, expected csv or md")
+        raise FlagError(f"--emit: no format in {args.emit!r}, expected {expected}")
     for fmt in formats:
-        if fmt not in ("csv", "md"):
-            raise FlagError(f"--emit: unknown format {fmt!r}, expected csv or md")
+        if fmt not in FORMATS:
+            raise FlagError(f"--emit: unknown format {fmt!r}, expected {expected}")
     for flag, value, least in (("--min-support", args.min_support, 2),
                                ("--max-triples", args.max_triples, 1)):
         if value < least:
@@ -288,14 +286,11 @@ def _cmd_patterns(bundle: AnalysisBundle, emit, args) -> None:
 
 
 def _cmd_classify(bundle: AnalysisBundle, emit, args) -> None:
-    rows = []
-    for c in bundle.candidates:
-        features = classify_cq(c.text)
-        rows.append((c.cq_id, c.ontology, features.question_type,
-                     features.polarity, features.modifier, features.dinde))
-    emit("cq_features", [
-        "cq_id", "ontology", "question_type", "polarity", "modifier", "dinde",
-    ], rows)
+    from .patterns import CqFeatures
+
+    emit("cq_features", ["cq_id", "ontology", *CqFeatures._fields],
+         ((c.cq_id, c.ontology, *classify_cq(c.text)._astuple())
+          for c in bundle.candidates))
 
 
 def _cmd_parse(bundle: AnalysisBundle, emit, args) -> None:

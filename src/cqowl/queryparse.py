@@ -90,13 +90,19 @@ class Variable(Record):
         return f"{self.marker}{self.name}"
 
 
+# SPARQL 1.1's ECHAR set: the letter after a backslash -> the character it escapes
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# a lexical form inside "...": each of those characters but ' as its escape
+_ESCAPE = str.maketrans({c: "\\" + e for e, c in _ECHARS.items() if e != "'"})
+
+
 class Literal(Record):
     lexical: str
     datatype: Optional["Term"] = None
     lang: Optional[str] = None
 
     def __str__(self) -> str:
-        out = '"%s"' % self.lexical.replace("\\", "\\\\").replace('"', '\\"')
+        out = f'"{self.lexical.translate(_ESCAPE)}"'
         if self.datatype is not None:
             out += f"^^{self.datatype}"
         elif self.lang:
@@ -479,7 +485,8 @@ class _Parser:
         if kind not in ("IRIREF", "PNAME", "COLONNAME", "VAR") and \
                 (kind, value) != ("NAME", "a"):
             raise self.error("expected predicate")
-        term = self._parse_term()
+        # SPARQL admits ``a`` as a verb only, so it is read here, not as a term
+        term = KeywordA() if self.accept("NAME") else self._parse_term()
         return PathZeroOrMore(term) if self.accept("*") else term
 
     def _parse_node(self, allow_literal: bool = True) -> Node:
@@ -531,9 +538,6 @@ class _Parser:
         if kind == "BLANK":
             self.pos += 1
             return BlankNodeLabel(value[2:])
-        if kind == "NAME" and value == "a":
-            self.pos += 1
-            return KeywordA()
         if kind == "INTEGER":
             self.pos += 1
             return Literal(value, datatype=PrefixedName("xsd", "integer"))
@@ -594,12 +598,9 @@ class _Parser:
         return FnCall(name, tuple(args))
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-
-
 def _unescape_string(raw: str) -> str:
-    """``raw`` with its escapes read in one pass; any other ``\\x`` stays."""
-    return re.sub(r"(?s)\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), raw)
+    """``raw`` with its ECHAR escapes read in one pass; any other ``\\x`` stays."""
+    return re.sub(r"(?s)\\(.)", lambda m: _ECHARS.get(m[1], m[0]), raw)
 
 
 def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAst:

@@ -8,24 +8,28 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .records import Factory, Record
 
 
-class Table(Record, frozen=False):
+class Table(Record):
     name: str
     columns: list[str]
-    rows: list[list] = Factory(list)
+    rows: list[list[str]] = Factory(list)
 
-    def add(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"table {self.name}: expected {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        self.rows.append([_cell(v) for v in values])
+    @classmethod
+    def of(cls, name: str, columns: list[str], rows: Iterable[Sequence]) -> Table:
+        """The table of ``rows``, each value made a cell and each row's width checked."""
+        width = len(columns)
+        cells = []
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"table {name}: expected {width} values, got {len(row)}")
+            cells.append([_cell(v) for v in row])
+        return cls(name, columns, cells)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -37,7 +41,7 @@ class Table(Record, frozen=False):
     def to_markdown(self) -> str:
         # a '|' inside a cell would start a new column, a line ending (CR LF,
         # CR or LF) a new row
-        cells = [[str(c).replace("|", "\\|").replace("\r\n", " ").replace("\r", " ")
+        cells = [[c.replace("|", "\\|").replace("\r\n", " ").replace("\r", " ")
                   .replace("\n", " ") for c in row]
                  for row in [self.columns, *self.rows]]
         widths = [max(map(len, column)) for column in zip(*cells)]
@@ -55,16 +59,14 @@ class Table(Record, frozen=False):
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         for fmt in formats:
-            if fmt == "csv":
-                target = out_dir / f"{self.name}.csv"
-                write_text(target, self.to_csv())
-            elif fmt == "md":
-                target = out_dir / f"{self.name}.md"
-                write_text(target, self.to_markdown())
-            else:
-                raise ValueError(f"unknown report format {fmt!r}")
+            target = out_dir / f"{self.name}.{fmt}"
+            write_text(target, FORMATS[fmt](self))
             written.append(target)
         return written
+
+
+# report format -> renderer of ``<name>.<format>``; the one list of the formats
+FORMATS = {"csv": Table.to_csv, "md": Table.to_markdown}
 
 
 def _cell(value) -> str:
@@ -80,11 +82,10 @@ def _cell(value) -> str:
 
 
 def write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    import json
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
+    # one encoder for the file: json.dumps with options builds one per record
+    lines = list(map(json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode, records))
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

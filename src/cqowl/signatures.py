@@ -4,9 +4,10 @@ Two queries share a signature when they are equal "ignoring URIs": every
 domain IRI is abstracted to the token ``:URI`` (a term of the reserved
 rdf/rdfs/owl/xsd vocabulary stays concrete as its ``vocabulary_name``,
 decided per namespace, so a renamed prefix or a full IRI gives the same
-token), placeholder ``$`` variables also become ``:URI`` since they stand
-for a concrete ontology term, literals become ``:LIT`` (keeping the
-datatype), and variables / labeled blank nodes are renamed canonically.
+token; ``rdf:type`` is written ``a`` as a verb only), placeholder ``$``
+variables also become ``:URI`` since they stand for a concrete ontology
+term, literals become ``:LIT`` (keeping the datatype), and variables /
+labeled blank nodes are renamed canonically.
 
 Abstraction fixes all skeleton text.  The search chooses only the order
 of the parts of each sequence (the triples of a BGP, the operands of
@@ -106,7 +107,7 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
     kind = type(term)
     if kind is PrefixedName or kind is Iri:
         name = vocabulary_name(term, prefixes)
-        return ["a" if name == "rdf:type" else name or URI_TOKEN]
+        return [name or URI_TOKEN]
     if kind is Variable:
         if term.marker == "$":
             return [URI_TOKEN]
@@ -119,7 +120,7 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
             return [LIT_TOKEN + "^^" + "".join(dt)]
         return [LIT_TOKEN]
     if kind is KeywordA:
-        return ["a"]
+        return ["rdf:type"]
     if kind is AnonBlank:
         return ["[]"]
     raise TypeError(f"cannot abstract term {term!r}")
@@ -130,8 +131,9 @@ def _abstract_path(pred, prefixes) -> list:
     if kind is PathSequence:
         return _joined([_abstract_path(part, prefixes) for part in pred.parts], "/")
     if kind is PathZeroOrMore:
-        return _abstract_term(pred.inner, prefixes) + ["*"]
-    return _abstract_term(pred, prefixes)
+        return _abstract_path(pred.inner, prefixes) + ["*"]
+    tokens = _abstract_term(pred, prefixes)
+    return ["a"] if tokens == ["rdf:type"] else tokens
 
 
 def _abstract_node(node, prefixes) -> list:

@@ -361,10 +361,12 @@ def conllu(tokens):
      "sentence at line 1: expected exactly one root, got 3"),
     (conllu(WHICH_PLANTS[:3] + [("animals", "NOUN", 9), WHICH_PLANTS[4]]),
      "line 4: HEAD 9 out of range"),
+    (conllu(WHICH_PLANTS[:1] + [("plants", "NOUN", "x")] + WHICH_PLANTS[2:]),
+     "line 2: non-numeric HEAD 'x'"),
     (None, "Is a directory"),
     (b"1\tWh\xffich\n", "byte 4: not UTF-8 (invalid start byte)"),
 ], ids=["two-columns", "no-match", "three-roots", "head-out-of-range",
-        "directory", "not-utf8"])
+        "non-numeric-head", "directory", "not-utf8"])
 def test_conllu_errors_exit_1_naming_the_file(tmp_path, capsys, text, message):
     corpus = write_corpus(tmp_path / "c.jsonl", [("q1", "ASK { ?x a ?y }")])
     (tmp_path / "conllu").mkdir()

@@ -195,6 +195,13 @@ def test_discovery_excludes_stopword_only_ngrams():
     assert ("of", "the") not in {r.ngram for r in results}
 
 
+def test_discovery_skips_rows_without_a_skeleton():
+    rows = _translated_fixture()
+    untranslated = [(f"n{i}", f"What are the main types of item{i}?",
+                     "What are the main types of EC1", rows[0][3], None) for i in range(3)]
+    assert discover_signals(rows + untranslated) == discover_signals(rows)
+
+
 def test_discovery_deterministic_and_min_support():
     rows = _translated_fixture()
     first = discover_signals(rows, min_support=2)

@@ -139,6 +139,7 @@ WORKED_EXAMPLES = [
     ("What is the valid input for [this software]?", "What is EC1 for EC2"),
     ("Which stuffs have as part exactly two substuffs?",
      "Which EC1 have as EC2 exactly NUM EC3"),
+    ("Which 3 plants eat animals?", "Which NUM EC1 PC1 EC2"),
 ]
 
 
@@ -223,6 +224,46 @@ def test_conllu_mismatch_errors(tmp_path):
 def test_determinism():
     text = "What types of clinical data are collected?"
     assert candidate(text) == candidate(text)
+
+
+def _conllu(tokens) -> str:
+    return "".join(f"{i}\t{form}\t{form}\t{upos}\t_\t_\t{head}\tdep\t_\t_\n"
+                   for i, (form, upos, head) in enumerate(tokens, 1))
+
+
+def test_conllu_reader_skips_multiword_and_empty_nodes_and_reads_unknown_upos_as_x(
+        tmp_path):
+    path = tmp_path / "nodes.conllu"
+    lines = _conllu([("Which", "PRON", 2), ("plants", "NOUN", 3), ("eat", "VERBAL", 0),
+                     ("animals", "NOUN", 3), ("?", "PUNCT", 3)]).splitlines(keepends=True)
+    path.write_text("1-2\tWhich plants\t_\t_\t_\t_\t_\t_\t_\t_\n" + "".join(lines[:3])
+                    + "3.1\tgreen\tgreen\tADJ\t_\t_\t_\t_\t_\t_\n" + "".join(lines[3:]),
+                    encoding="utf-8")
+    [sentence] = read_conllu(path)
+    assert [(t.surface, t.pos, t.head) for t in sentence] == [
+        ("Which", "PRON", 1), ("plants", "NOUN", 2), ("eat", "X", 2),
+        ("animals", "NOUN", 2), ("?", "PUNCT", 2)]
+
+
+@pytest.mark.parametrize("text, tokens, expected, pc", [
+    ("Which plants give up leaves?",
+     [("Which", "PRON", 2), ("plants", "NOUN", 3), ("give", "VERB", 0),
+      ("up", "PART", 3), ("leaves", "NOUN", 3), ("?", "PUNCT", 3)],
+     "Which EC1 PC1 EC2", "give up"),
+    ("Which plants need to grow?",
+     [("Which", "PRON", 2), ("plants", "NOUN", 3), ("need", "VERB", 0),
+      ("to", "PART", 5), ("grow", "VERB", 3), ("?", "PUNCT", 3)],
+     "Which EC1 PC1 to PC2", "need"),
+], ids=["joins", "before-a-verb"])
+def test_conllu_part_after_a_content_verb_joins_its_pc_unless_a_verb_follows(
+        tmp_path, text, tokens, expected, pc):
+    # the built-in tagger tags ``to`` PART only before a verb, so only a
+    # CoNLL-U file reaches the joining branch
+    path = tmp_path / "part.conllu"
+    path.write_text(_conllu(tokens), encoding="utf-8")
+    sentence = annotate_sentence("t", text, source="conllu", conllu_path=path)
+    assert to_pattern_candidate(sentence) == expected
+    assert next(c for c in sentence.chunks if c.label == "PC1").surface_text == pc
 
 
 @pytest.mark.parametrize("heads, roots", [((2, 3, 2), 0), ((0, 2, 2), 2)],

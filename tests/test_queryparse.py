@@ -9,6 +9,7 @@ from cqowl.queryparse import (
     BlankPropertyList,
     Filter,
     KEYWORD_INVENTORY,
+    Literal,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
@@ -137,6 +138,10 @@ def test_errors_carry_positions():
     # end of input is placed after the comment that precedes it
     ("ASK {\n  ?x a ?y .\n# no closing brace", "found 'end of input'", 3, 19),
     ("ASK { ?x a ?y\n# comment\n", "found 'end of input'", 3, 1),
+    # ``a`` is a verb only, as in SPARQL
+    ("ASK { a ?p ?y }", "expected a term, found 'a'", 1, 7),
+    ("ASK {\n  ?x ?p a }", "expected a term, found 'a'", 2, 9),
+    ("ASK { ?x ?p ?y FILTER(?y = a) }", "expected a term, found 'a'", 1, 28),
 ])
 def test_error_positions_count_every_newline(text, message, line, col):
     with pytest.raises(QueryParseError) as err:
@@ -308,8 +313,20 @@ def test_language_tagged_literals_round_trip():
     (r"a\\nb", "a\\nb"),
     (r"a\ub", "a\\ub"),
     ("a\x00b", "a\x00b"),  # the NUL is a character, not a marker for a backslash
+    (r"\r\b\f\'", "\r\b\f'"),  # the rest of SPARQL's ECHAR set
 ])
 def test_string_escapes_read_in_one_pass(escaped, lexical):
     ast = parse_query(f'ASK {{ ?x awo:p "{escaped}" . }}', PREFIXES)
     assert ast.where.items[0].triples[0].objects[0].lexical == lexical
+    assert parse_query(serialize_query(ast), PREFIXES) == ast
+
+
+def test_literals_are_written_on_one_line_and_read_back():
+    # STRING_LITERAL2 admits no raw line feed or carriage return
+    lexical = 'one\ntwo\rthree\tfour\\five"six'
+    written = str(Literal(lexical))
+    assert written == r'"one\ntwo\rthree\tfour\\five\"six"'
+    ast = parse_query(f"ASK {{ ?x awo:p {written} . }}", PREFIXES)
+    assert ast.where.items[0].triples[0].objects == (Literal(lexical),)
+    assert written in serialize_query(ast)
     assert parse_query(serialize_query(ast), PREFIXES) == ast

@@ -151,6 +151,9 @@ _NODE_KIND_SKELETONS = {
     "empty group": ("ASK WHERE { }", "ASK WHERE {\n}"),
     "a": ("ASK { ?x a ex:C }", "ASK WHERE {\n?v1 a :URI .\n}"),
     "rdf:type": ("ASK { ?x rdf:type ex:C }", "ASK WHERE {\n?v1 a :URI .\n}"),
+    "rdf:type outside a verb": (
+        "ASK { ?x ex:p rdf:type . FILTER(?x = rdf:type) }",
+        "ASK WHERE {\n?v1 :URI rdf:type .\nFILTER(?v1 = rdf:type)\n}"),
     "or in filter": (
         "SELECT * WHERE { ?x a ex:C FILTER(?x = ex:a || ex:b = ?x) }",
         "SELECT * WHERE {\n?v1 a :URI .\nFILTER(:URI = ?v1 || :URI = ?v1)\n}"),
@@ -821,7 +824,7 @@ def _source_order_pattern(filter_text: str) -> str:
             return re.escape(":LIT" + (term.split('"')[2] if "^^" in term else ""))
         if term[0] == "$" or term.startswith("ex:"):
             return ":URI"
-        return "a" if term == "rdf:type" else re.escape(term)
+        return re.escape(term)
     pieces = _COMPARED_TERM.split(filter_text)
     return r"\nFILTER\(" + "".join(
         abstracted(piece) if i % 2 else re.escape(piece)
@@ -955,13 +958,24 @@ def _fixed_point_inputs(family: str, request) -> list[QueryAst]:
         return [_random_ast(rng) for _ in range(1500)]
     if family == "filter operands":
         return _filter_operand_queries(random.Random(33), 1000)
+    if family == "rdf:type":
+        return [parse_query(text, PREFIXES) for text in _RDF_TYPE_OUTSIDE_A_VERB]
     texts = _NESTED_BY_HAND + [next(_filter_variants(tree, top=True))
                                for tree in _nested_comparisons(random.Random(21), 200)]
     return [_compared_query(_NESTED_BGP, text) for text in texts]
 
 
+# a skeleton writes rdf:type as ``a`` only where SPARQL admits ``a``: as a verb
+_RDF_TYPE_OUTSIDE_A_VERB = [
+    "ASK { ?x ex:p rdf:type . FILTER(?x = rdf:type) }",
+    "ASK { rdf:type a ?c ; rdfs:subClassOf* rdf:type }",
+    "ASK { ?x ex:p ( rdf:type ?y ), [ rdf:type ex:C ] . BIND(rdf:type AS ?t) }",
+    'ASK { ?x ex:p/rdf:type "1"^^rdf:type FILTER(rdf:type IN (?x, rdf:type)) }',
+]
+
+
 @pytest.mark.parametrize("family", ["bundled", "gen", "random ast", "filter operands",
-                                    "nested"])
+                                    "nested", "rdf:type"])
 def test_skeleton_is_a_query_that_canonicalizes_to_itself(family, request):
     # each :LIT is written as a literal, keeping its datatype, and only ``:``
     # is declared: the parser knows the reserved prefixes

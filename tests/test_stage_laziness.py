@@ -183,6 +183,29 @@ def test_every_traced_site_resolves(monkeypatch):
     assert spans.SITES and missing == []
 
 
+def test_report_emits_through_the_traced_sites(tmp_path, monkeypatch):
+    """The benchmark counts emitted files at ``cqowl.reporting.Table.write``
+    and JSONL outputs at ``cqowl.cli.write_jsonl``; a file written around
+    them would be missing from its per-layer metrics."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REPO_ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["report", "--corpus", str(CORPUS_PATH), "--out", str(tmp_path),
+                     "--paper-calibration", "--emit", "csv,md"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    writes = [s for s in tracer.spans if s.name == "reporting.Table.write"]
+    assert (len(writes), sum(s.counts["files"] for s in writes)) == (24, 48)
+    assert sum(s.name == "reporting.write_jsonl" for s in tracer.spans) == 3
+    assert len(list(tmp_path.iterdir())) == 48 + 3 + 1  # and the run manifest
+
+
 def test_report_builds_translated_rows_once(tmp_path, monkeypatch):
     bundle_class = cqowl.pipeline.AnalysisBundle
     build = bundle_class._translated.func
