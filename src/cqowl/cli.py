@@ -4,6 +4,10 @@ All data outputs are deterministic files under ``--out``; diagnostics go to
 standard error.  Exit codes: 0 success, 1 validation/input error, 2
 internal error.
 
+The inputs choose their own readers: ``--corpus`` names a dataset
+directory or a JSONL file, and ``--conllu-dir``, when given, replaces the
+built-in tagger with its ``<cq id>.conllu`` files.
+
 Only the modules that ``validate`` runs are imported at the top; every
 other module is imported by the step that first needs it, so a process
 loads (and compiles) only the stages of its subcommand.
@@ -44,13 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("command", choices=SUBCOMMANDS,
                         help="the stage to run; report runs all of them")
-    parser.add_argument("--corpus", required=True, help="corpus path")
-    parser.add_argument("--format", choices=("jsonl", "dataset_dir"),
-                        default="jsonl", help="corpus format")
-    parser.add_argument("--tagger", choices=("builtin", "conllu"),
-                        default="builtin", help="annotation source")
+    parser.add_argument("--corpus", required=True,
+                        help="JSONL corpus file, or dataset directory")
     parser.add_argument("--conllu-dir", type=Path, default=None,
-                        help="directory of <cq id>.conllu files")
+                        help="directory of <cq id>.conllu files that annotate "
+                             "the CQs (default: the built-in tagger)")
     parser.add_argument("--overrides", type=Path, default=None,
                         help="JSON file mapping cq id to corrected candidate")
     parser.add_argument("--out", type=Path, default=Path("out"),
@@ -128,18 +130,17 @@ def _main(argv) -> int:
 def _dispatch(args) -> int:
     started = time.perf_counter()
     formats = _check_flags(args)
-    corpus = load_corpus(Path(args.corpus), format=args.format)
+    corpus = load_corpus(args.corpus)
 
     if args.command == "validate":
-        if args.tagger == "conllu":
+        if args.conllu_dir is not None:
             # the CoNLL-U files are input too: run the annotation stage
             # that report runs, so validate fails where report would
-            run_pipeline(corpus, tagger=args.tagger,
-                         conllu_dir=args.conllu_dir).sentences
+            run_pipeline(corpus, conllu_dir=args.conllu_dir).sentences
         return _cmd_validate(corpus)
 
     bundle = run_pipeline(
-        corpus, tagger=args.tagger, conllu_dir=args.conllu_dir,
+        corpus, conllu_dir=args.conllu_dir,
         overrides=args.overrides, max_triples=args.max_triples,
     )
 
@@ -171,10 +172,6 @@ def _check_flags(args) -> list[str]:
                                ("--max-triples", args.max_triples, 1)):
         if value < least:
             raise FlagError(f"{flag} must be at least {least}, got {value}")
-    if args.tagger == "conllu" and args.conllu_dir is None:
-        raise FlagError("--conllu-dir: required with --tagger conllu")
-    if args.tagger != "conllu" and args.conllu_dir is not None:
-        raise FlagError("--conllu-dir: only read with --tagger conllu")
     args.overrides = _read_flag_file("--overrides", args.overrides, _load_overrides)
     args.rules = _read_flag_file("--rules", args.rules, _load_rules)
     args.stoplist = _read_flag_file("--stoplist", args.stoplist, _load_stoplist)
@@ -463,8 +460,7 @@ def _write_manifest(out: Path, args, started: float) -> None:
         "version": __version__,
         "command": args.command,
         "corpus": str(args.corpus),
-        "format": args.format,
-        "tagger": args.tagger,
+        "conllu_dir": None if args.conllu_dir is None else str(args.conllu_dir),
         "max_triples": args.max_triples,
         "min_support": args.min_support,
         "elapsed_seconds": round(time.perf_counter() - started, 3),

@@ -6,6 +6,8 @@ Placeholder spans are never stored; they are re-derived by scanning the CQ
 text for ``[...]`` segments.  A directory layout with one query per file is
 supported as an importer (``<root>/<ontology>/manifest.json`` plus
 ``questions/*.txt`` and ``queries/*.rq`` paired by basename).
+:func:`load_corpus` reads a directory as that layout and any other path
+as JSON Lines, so the path alone names the format.
 
 CQs whose query text fails to parse are retained (the linguistic analyses
 still need them) and surfaced through :meth:`Corpus.parse_queries`.
@@ -182,11 +184,19 @@ def _require_encodable(text: str, value, where: str) -> None:
 _WORD_CHAR = re.compile(r"\w")
 
 
-def _require_word(cq_text: str, where: str) -> None:
-    """Reject CQ text with no word token: annotation and classification
-    have nothing to work on in, say, a bare ``?``."""
-    if not _WORD_CHAR.search(cq_text):
-        raise CorpusError(f"{where}: field 'cq' has no word: {cq_text!r}")
+def _question(where: str, cq_id: str, ontology: str, text: str,
+              query: Optional[str] = None,
+              answers: tuple[str, ...] = ()) -> CompetencyQuestion:
+    """The CQ read at ``where``, whose text must have a word (annotation and
+    classification have nothing to work on in, say, a bare ``?``) and
+    well-formed placeholders; an error names ``where``."""
+    if not _WORD_CHAR.search(text):
+        raise CorpusError(f"{where}: field 'cq' has no word: {text!r}")
+    try:
+        spans = placeholder_spans(text)
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
+    return CompetencyQuestion(cq_id, ontology, text, spans, query, answers)
 
 
 def _located_corpus(ontologies: list, questions: list, where: dict) -> Corpus:
@@ -278,21 +288,13 @@ def load_jsonl(path: Path) -> Corpus:
             raise CorpusError(
                 f"{path}:{lineno}: field 'answers' must be a list of strings"
             )
-        _require_encodable(line, record, f"{path}:{lineno}")
-        _require_word(record["cq"], f"{path}:{lineno}")
-        try:
-            spans = placeholder_spans(record["cq"])
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        where = f"{path}:{lineno}"
+        _require_encodable(line, record, where)
+        questions.append(_question(where, record["id"], record["ontology"],
+                                   record["cq"], query, tuple(answers)))
+        lines.append(where)
         if record["ontology"] not in names:
             names.append(record["ontology"])
-        questions.append(
-            CompetencyQuestion(
-                record["id"], record["ontology"], record["cq"], spans,
-                query, tuple(answers),
-            )
-        )
-        lines.append(f"{path}:{lineno}")
     try:
         ontologies = [_ontology_from_tables(n, prefix_tables) for n in names]
     except CorpusError as exc:
@@ -317,13 +319,14 @@ def save_jsonl(corpus: Corpus, path: Path) -> None:
 
 
 def load_dataset_dir(root: Path) -> Corpus:
-    root = Path(root)
-    if not root.is_dir():
-        raise CorpusError(f"{root} is not a directory")
     ontologies: list[OntologyId] = []
     questions: list[CompetencyQuestion] = []
     where: dict[str, list[str]] = {"ontologies": [], "questions": []}
-    for onto_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+    onto_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    if not onto_dirs:  # most likely the directory around a JSONL corpus
+        raise CorpusError(f"{root}: not a dataset directory: it holds no "
+                          "<ontology>/manifest.json")
+    for onto_dir in onto_dirs:
         manifest_path = onto_dir / "manifest.json"
         if not manifest_path.exists():
             raise CorpusError(f"{onto_dir}: missing manifest.json")
@@ -354,26 +357,18 @@ def load_dataset_dir(root: Path) -> Corpus:
             raw = read_text(qfile)
             text = raw.strip()
             first_line = raw[:raw.find(text)].count("\n") + 1
-            _require_word(text, f"{qfile}:{first_line}")
             query_file = onto_dir / "queries" / f"{cq_id}.rq"
             query = read_text(query_file) if query_file.exists() else None
-            try:
-                spans = placeholder_spans(text)
-            except CorpusError as exc:
-                raise CorpusError(f"{qfile}: {exc}") from exc
-            questions.append(
-                CompetencyQuestion(cq_id, name, text, spans, query)
-            )
+            questions.append(_question(f"{qfile}:{first_line}", cq_id, name,
+                                       text, query))
             where["questions"].append(str(qfile))
     return _located_corpus(ontologies, questions, where)
 
 
-def load_corpus(path: Path, format: str = "jsonl") -> Corpus:
-    if format == "jsonl":
-        return load_jsonl(Path(path))
-    if format == "dataset_dir":
-        return load_dataset_dir(Path(path))
-    raise CorpusError(f"unknown corpus format {format!r}")
+def load_corpus(path: Path) -> Corpus:
+    """The corpus at ``path``: a dataset directory, or else a JSONL file."""
+    path = Path(path)
+    return load_dataset_dir(path) if path.is_dir() else load_jsonl(path)
 
 
 # ---------------------------------------------------------------------------

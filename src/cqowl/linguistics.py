@@ -6,12 +6,13 @@ verb groups optionally extended with a dependency-linked auxiliary (which
 makes a PC discontinuous, as in "Does ... eat").  Replacing chunks with
 numbered ``EC<k>``/``PC<k>`` slots yields the pattern candidate string.
 
-Annotations come either from the built-in deterministic tagger (lexicon
-plus suffix rules; no external models) or from a CoNLL-U file produced by
-a full NLP pipeline, which is the higher-fidelity path.  A CoNLL-U
-sentence belongs to a CQ when its FORMs, concatenated, spell the CQ text
-once whitespace and quote marks are removed from both: the tokenizer's
-own rule, since those are exactly the characters it discards.
+Annotations come from the built-in deterministic tagger (lexicon plus
+suffix rules; no external models), or, when a CQ is given a CoNLL-U file,
+from that file, which a full NLP pipeline produced: the higher-fidelity
+path.  A CoNLL-U sentence belongs to a CQ when its FORMs, concatenated,
+spell the CQ text once whitespace and quote marks are removed from both:
+the tokenizer's own rule, since those are exactly the characters it
+discards.
 """
 from __future__ import annotations
 
@@ -414,25 +415,16 @@ def _finish_conllu_sentence(path, rows) -> list[TokenAnnotation]:
     return tokens
 
 
-def annotate(
-    text: str,
-    source: str = "builtin",
-    conllu_path: Optional[Path] = None,
-) -> list[TokenAnnotation]:
-    """Annotate CQ text with the builtin tagger or a matching CoNLL-U file."""
-    if source == "builtin":
+def annotate(text: str, conllu_path: Optional[Path] = None) -> list[TokenAnnotation]:
+    """Annotate CQ text with the built-in tagger, or, given ``conllu_path``,
+    with the first sentence of that CoNLL-U file that matches it."""
+    if conllu_path is None:
         return builtin_annotate(text)
-    if source == "conllu":
-        if conllu_path is None:
-            raise AnnotationError("conllu source requires a path")
-        wanted = _UNSPELLED.sub("", text)
-        for sentence in read_conllu(conllu_path):
-            if _UNSPELLED.sub("", "".join(t.surface for t in sentence)) == wanted:
-                return sentence
-        raise AnnotationError(
-            f"{conllu_path}: no sentence matches the CQ text {text!r}"
-        )
-    raise AnnotationError(f"unknown annotation source {source!r}")
+    wanted = _UNSPELLED.sub("", text)
+    for sentence in read_conllu(conllu_path):
+        if _UNSPELLED.sub("", "".join(t.surface for t in sentence)) == wanted:
+            return sentence
+    raise AnnotationError(f"{conllu_path}: no sentence matches the CQ text {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +578,8 @@ def to_pattern_candidate(sentence: AnnotatedSentence) -> str:
 
 
 def annotate_sentence(
-    cq_id: str,
-    text: str,
-    source: str = "builtin",
-    conllu_path: Optional[Path] = None,
+    cq_id: str, text: str, conllu_path: Optional[Path] = None
 ) -> AnnotatedSentence:
-    tokens = tuple(annotate(text, source=source, conllu_path=conllu_path))
+    tokens = tuple(annotate(text, conllu_path))
     chunks = tuple(identify_chunks(tokens))
     return AnnotatedSentence(cq_id, tokens, chunks)

@@ -71,13 +71,11 @@ class AnalysisBundle:
     def __init__(
         self,
         corpus: Corpus,
-        tagger: str = "builtin",
         conllu_dir: Optional[Path] = None,
         overrides: Optional[dict[str, str]] = None,
         max_triples: int = DEFAULT_MAX_TRIPLES,
     ):
         self.corpus = corpus
-        self.tagger = tagger
         self.conllu_dir = conllu_dir
         self.overrides = overrides
         self.max_triples = max_triples
@@ -87,8 +85,7 @@ class AnalysisBundle:
         conllu_dir = self.conllu_dir
         return {
             q.id: annotate_sentence(
-                q.id, q.text, source=self.tagger,
-                conllu_path=None if conllu_dir is None
+                q.id, q.text, None if conllu_dir is None
                 else Path(conllu_dir, f"{q.id}.conllu"))
             for q in self.corpus.questions
         }

@@ -271,7 +271,7 @@ _TOKEN_SPEC = [
     ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
     ("VAR", r"[?$][A-Za-z_][A-Za-z_0-9]*"),
     ("BLANK", r"_:[A-Za-z_0-9]+"),
-    ("STRING", r'"(?:[^"\\]|\\.)*"'),
+    ("STRING", r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\''),
     ("PNAME", r"[A-Za-z_][A-Za-z_0-9.-]*:[A-Za-z_0-9](?:[A-Za-z_0-9.-]*[A-Za-z_0-9-])?"),
     ("PNAMENS", r"[A-Za-z_][A-Za-z_0-9.-]*:"),
     ("COLONNAME", r":[A-Za-z_0-9](?:[A-Za-z_0-9.-]*[A-Za-z_0-9-])?"),
@@ -544,7 +544,7 @@ class _Parser:
         if kind != "STRING":
             raise self.error("expected a term")
         self.pos += 1
-        lexical = _unescape_string(value[1:-1])
+        lexical = _unescape_string(value[1:-1], self.text, offset + 1)
         if self.accept("^^"):
             if not (self.at("IRIREF") or self.at("PNAME") or self.at("COLONNAME")):
                 raise self.error("expected datatype after '^^'")
@@ -598,9 +598,25 @@ class _Parser:
         return FnCall(name, tuple(args))
 
 
-def _unescape_string(raw: str) -> str:
-    """``raw`` with its ECHAR escapes read in one pass; any other ``\\x`` stays."""
-    return re.sub(r"(?s)\\(.)", lambda m: _ECHARS.get(m[1], m[0]), raw)
+_STRING_ESCAPE = re.compile(r"(?s)\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+
+
+def _unescape_string(raw: str, text: str, start: int) -> str:
+    """``raw``, found at offset ``start`` of ``text``, with its ECHAR and
+    UCHAR escapes read in one pass; any other ``\\x`` stays.
+
+    A UCHAR must name a character: a surrogate, or a code point above
+    U+10FFFF, is a :class:`QueryParseError` at the escape.
+    """
+    def unescape(m: re.Match) -> str:
+        if m[3] is not None:
+            return _ECHARS.get(m[3], m[0])
+        code = int(m[1] or m[2], 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            raise _error_at(text, start + m.start(), f"{m[0]} names no character")
+        return chr(code)
+
+    return _STRING_ESCAPE.sub(unescape, raw)
 
 
 def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAst:

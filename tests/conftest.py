@@ -14,7 +14,7 @@ CORPUS_PATH = REPO_ROOT / "data" / "cq_sparql_owl.jsonl"
 
 @pytest.fixture(scope="session")
 def corpus():
-    return load_corpus(CORPUS_PATH, format="jsonl")
+    return load_corpus(CORPUS_PATH)
 
 
 @pytest.fixture(scope="session")

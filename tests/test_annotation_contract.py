@@ -1,11 +1,11 @@
-"""The built-in tagger and ``--tagger conllu`` meet at one contract.
+"""The built-in tagger and ``--conllu-dir`` annotations meet at one contract.
 
 A CoNLL-U sentence matches its CQ when the two spell the same text once
 whitespace and quote marks, the characters the tokenizer discards, are
 removed.  So the built-in annotations of the bundled corpus, written out
-as CoNLL-U, reproduce every ``report`` table; and ``validate --tagger
-conllu`` runs the annotation stage, failing where ``report`` fails with
-the same message.
+as CoNLL-U, reproduce every ``report`` table; and ``validate
+--conllu-dir`` runs the annotation stage, failing where ``report`` fails
+with the same message.
 """
 from __future__ import annotations
 
@@ -40,15 +40,13 @@ def exported(tmp_path_factory, corpus):
 def test_exported_builtin_annotations_reproduce_golden(tmp_path, exported):
     # swo4 quotes a word ("algorithms"), which the tokenizer drops
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["files"]
-    assert run("report", "--corpus", CORPUS_PATH, "--tagger", "conllu",
-               "--conllu-dir", exported, "--paper-calibration",
-               "--emit", "csv,md", "--out", tmp_path) == 0
+    assert run("report", "--corpus", CORPUS_PATH, "--conllu-dir", exported,
+               "--paper-calibration", "--emit", "csv,md", "--out", tmp_path) == 0
     assert _digests(tmp_path) == golden
 
 
 def test_validate_accepts_the_exported_annotations(exported, capsys):
-    assert run("validate", "--corpus", CORPUS_PATH, "--tagger", "conllu",
-               "--conllu-dir", exported) == 0
+    assert run("validate", "--corpus", CORPUS_PATH, "--conllu-dir", exported) == 0
     assert capsys.readouterr().err.startswith("corpus OK: 234 CQs")
 
 
@@ -69,8 +67,8 @@ def test_validate_fails_where_chunk_and_report_fail(tmp_path, capsys, text,
         path.write_text(text, encoding="utf-8")
     errors = {}
     for command in ("chunk", "report", "validate"):
-        assert run(command, "--corpus", corpus, "--tagger", "conllu",
-                   "--conllu-dir", conllu_dir, "--out", tmp_path / "out") == 1
+        assert run(command, "--corpus", corpus, "--conllu-dir", conllu_dir,
+                   "--out", tmp_path / "out") == 1
         errors[command] = capsys.readouterr().err
     assert errors["validate"] == errors["chunk"] == errors["report"]
     assert errors["chunk"].startswith(f"error: {path}: ")
@@ -86,8 +84,8 @@ def test_conllu_match_ignores_quote_marks_and_spacing(tmp_path):
         "id": "q", "ontology": "AWO",
         "cq": "Which “plants’  eat 'animals' ?"}) + "\n",
         encoding="utf-8")
-    assert run("chunk", "--corpus", corpus, "--tagger", "conllu",
-               "--conllu-dir", tmp_path, "--out", tmp_path / "out") == 0
+    assert run("chunk", "--corpus", corpus, "--conllu-dir", tmp_path,
+               "--out", tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("word", ["”plants“", "’plants‘", "“plants”",

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from cqowl.cli import main
+from cqowl.corpus import default_prefix_tables
 from tests.conftest import CORPUS_PATH
 
 
@@ -32,8 +33,9 @@ def test_validate_ok(capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["chunk", "--corpus", CORPUS_PATH, "--tagger", "bogus"],
-     "argument --tagger: invalid choice: 'bogus'"),
+    # the input decides the corpus format and the tagger; no flag names them
+    (["chunk", "--corpus", CORPUS_PATH, "--tagger", "builtin"],
+     "unrecognized arguments: --tagger builtin"),
     (["report", "--corpus", CORPUS_PATH, "--max-triples", "abc"],
      "argument --max-triples: invalid int value: 'abc'"),
     (["validate"], "the following arguments are required: --corpus"),
@@ -238,10 +240,72 @@ def test_cq_without_a_word_exit_1(tmp_path, capsys, command, layout):
         question.write_text("\n?\n", encoding="utf-8")
         where = f"{question}:2"
     out = tmp_path / "out"
-    assert run(command, "--corpus", corpus, "--format", layout,
-               "--out", out) == 1
+    assert run(command, "--corpus", corpus, "--out", out) == 1
     assert capsys.readouterr().err == f"error: {where}: field 'cq' has no word: '?'\n"
     assert not out.exists()
+
+
+TWO_ONTOLOGIES = [
+    ("AWO", "awo_1", "Which plants eat animals?",
+     "SELECT ?x WHERE { ?x rdfs:subClassOf awo:plant }"),
+    ("AWO", "awo_2", "Is [this animal] a herbivore?",
+     "ASK { awo:lion rdfs:subClassOf awo:herbivore }"),
+    ("AWO", "awo_3", "Which animals eat plants?", None),
+    ("SWO", "swo_1", "Which software reads [this format]?",
+     "SELECT ?x WHERE { ?x rdfs:subClassOf swo:software }"),
+]
+
+
+@pytest.mark.parametrize("command, table, lines", [("chunk", "chunks.csv", 5),
+                                                   ("signatures", "signatures.csv", 3)])
+def test_a_directory_is_a_dataset_and_a_file_is_jsonl(tmp_path, command, table, lines):
+    # the same corpus in both layouts; the directories sort as the JSONL
+    # lists the ontologies, so both give the same CQ order
+    jsonl = tmp_path / "c.jsonl"
+    jsonl.write_text("".join(
+        json.dumps({"id": cq_id, "ontology": onto, "cq": text,
+                    **({"query": query} if query else {})}) + "\n"
+        for onto, cq_id, text, query in TWO_ONTOLOGIES), encoding="utf-8")
+    dataset = tmp_path / "dataset"
+    tables = default_prefix_tables()
+    for onto, cq_id, text, query in TWO_ONTOLOGIES:
+        onto_dir = dataset / onto.lower()
+        (onto_dir / "questions").mkdir(parents=True, exist_ok=True)
+        (onto_dir / "queries").mkdir(exist_ok=True)
+        (onto_dir / "manifest.json").write_text(json.dumps(
+            {"ontology": onto, "prefixes": tables[onto]}), encoding="utf-8")
+        (onto_dir / "questions" / f"{cq_id}.txt").write_text(text + "\n", encoding="utf-8")
+        if query:
+            (onto_dir / "queries" / f"{cq_id}.rq").write_text(query, encoding="utf-8")
+    outputs = []
+    for corpus in (jsonl, dataset):
+        out = tmp_path / f"out-{corpus.name}"
+        assert run(command, "--corpus", corpus, "--out", out, "--emit", "csv") == 0
+        outputs.append(read_all(out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][table].count(b"\n") == lines
+
+
+def test_conllu_dir_alone_selects_the_conllu_annotations(tmp_path):
+    corpus = write_corpus(tmp_path / "c.jsonl", [("q1", "ASK { ?x a ?y }")])
+    conllu_dir = tmp_path / "conllu"
+    conllu_dir.mkdir()
+    # "eat" as a noun: one entity chunk where the built-in tagger finds a verb
+    (conllu_dir / "q1.conllu").write_text(conllu([
+        ("Which", "PRON", 2), ("plants", "NOUN", 0), ("eat", "NOUN", 2),
+        ("animals", "NOUN", 2), ("?", "PUNCT", 2)]), encoding="utf-8")
+    for flags, recorded, chunks in (
+        ([], None, "EC1=plants; EC2=animals; PC1=eat,Which EC1 PC1 EC2"),
+        (["--conllu-dir", conllu_dir], str(conllu_dir),
+         "EC1=plants eat animals,Which EC1"),
+    ):
+        out = tmp_path / ("conllu-out" if flags else "builtin-out")
+        assert run("chunk", "--corpus", corpus, "--out", out, *flags) == 0
+        rows = (out / "chunks.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == f"q1,AWO,{chunks}"
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["conllu_dir"] == recorded
+        assert "tagger" not in manifest and "format" not in manifest
 
 
 def test_verbless_cq_starting_with_an_adposition_reports(tmp_path):
@@ -330,20 +394,6 @@ def test_bad_flag_values_exit_1(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--tagger", "conllu"],
-                                   ["--conllu-dir", "conllu"]],
-                         ids=["tagger-without-dir", "dir-without-tagger"])
-@pytest.mark.parametrize("command", ["validate", "report"])
-def test_conllu_dir_goes_with_the_conllu_tagger(tmp_path, capsys, command, flags):
-    # without the check, one run read ./<cq id>.conllu and the other
-    # ignored the directory
-    out = tmp_path / "out"
-    for corpus in (CORPUS_PATH, tmp_path / "no-corpus.jsonl"):
-        assert run(command, "--corpus", corpus, "--out", out, *flags) == 1
-        assert capsys.readouterr().err.startswith("error: --conllu-dir: ")
-    assert not out.exists()
-
-
 WHICH_PLANTS = [("Which", "PRON", 2), ("plants", "NOUN", 3), ("eat", "VERB", 0),
                 ("animals", "NOUN", 3), ("?", "PUNCT", 3)]
 
@@ -378,8 +428,8 @@ def test_conllu_errors_exit_1_naming_the_file(tmp_path, capsys, text, message):
     else:
         path.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    assert run("chunk", "--corpus", corpus, "--tagger", "conllu",
-               "--conllu-dir", path.parent, "--out", out) == 1
+    assert run("chunk", "--corpus", corpus, "--conllu-dir", path.parent,
+               "--out", out) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n"
     assert not out.exists()
@@ -406,7 +456,7 @@ def test_malformed_prefix_tables_exit_1(tmp_path, capsys, layout, prefixes, mess
         table = corpus / "awo" / "manifest.json"
         table.write_text(f'{{"ontology": "AWO", "prefixes": {prefixes}}}',
                          encoding="utf-8")
-    assert run("validate", "--corpus", corpus, "--format", layout) == 1
+    assert run("validate", "--corpus", corpus) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {table}: ")
     assert message in err
@@ -415,18 +465,22 @@ def test_malformed_prefix_tables_exit_1(tmp_path, capsys, layout, prefixes, mess
 NOT_UTF8 = "byte 0: not UTF-8 (invalid start byte)"
 
 
-@pytest.mark.parametrize("layout, bad, content, message", [
-    ("jsonl", "c.jsonl", b"\xff{}\n", NOT_UTF8),
-    ("dataset_dir", "dataset/awo/questions/q1.txt", b"\xffWhich plants?\n", NOT_UTF8),
-    ("dataset_dir", "dataset/awo/queries/q1.rq", b"\xffASK { ?x a ?y }\n", NOT_UTF8),
-    ("dataset_dir", "dataset/awo/manifest.json", b'\xff{"ontology": "AWO"}', NOT_UTF8),
-    ("jsonl", ".", None, "Is a directory"),
-    ("jsonl", "dataset", None, "Is a directory"),
+# ``corpus`` is the --corpus argument; the error names the file ``bad``
+@pytest.mark.parametrize("corpus, bad, content, message", [
+    ("c.jsonl", "c.jsonl", b"\xff{}\n", NOT_UTF8),
+    ("dataset", "dataset/awo/questions/q1.txt", b"\xffWhich plants?\n", NOT_UTF8),
+    ("dataset", "dataset/awo/queries/q1.rq", b"\xffASK { ?x a ?y }\n", NOT_UTF8),
+    ("dataset", "dataset/awo/manifest.json", b'\xff{"ontology": "AWO"}', NOT_UTF8),
+    # a directory is read as a dataset: "." holds no manifest.json, and a
+    # directory of files holds no ontology directory
+    (".", "dataset", None, "missing manifest.json"),
+    ("dataset/awo/queries", "dataset/awo/queries", None,
+     "not a dataset directory: it holds no <ontology>/manifest.json"),
 ], ids=["jsonl-not-utf8", "question-not-utf8", "query-not-utf8",
         "manifest-not-utf8", "corpus-dot", "directory-as-jsonl"])
 @pytest.mark.parametrize("command", ["validate", "report"])
 def test_unreadable_corpus_exit_1_naming_the_file(tmp_path, capsys, monkeypatch, command,
-                                                  layout, bad, content, message):
+                                                  corpus, bad, content, message):
     monkeypatch.chdir(tmp_path)
     onto = tmp_path / "dataset" / "awo"
     (onto / "questions").mkdir(parents=True)
@@ -436,8 +490,7 @@ def test_unreadable_corpus_exit_1_naming_the_file(tmp_path, capsys, monkeypatch,
     (onto / "queries" / "q1.rq").write_text("ASK { ?x a ?y }\n", encoding="utf-8")
     if content is not None:
         (tmp_path / bad).write_bytes(content)
-    corpus = bad if layout == "jsonl" else "dataset"
-    assert run(command, "--corpus", corpus, "--format", layout, "--out", "out") == 1
+    assert run(command, "--corpus", corpus, "--out", "out") == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not (tmp_path / "out").exists()
 
@@ -474,7 +527,8 @@ GOOD_RECORD = {"id": "q1", "ontology": "AWO", "cq": "Which plants eat animals?"}
      "{corpus}:2: field 'answers' must be a list of strings"),
     ("jsonl", None, {**GOOD_RECORD, "id": "q2", "answers": ["x", 1]},
      "{corpus}:2: field 'answers' must be a list of strings"),
-    ("dataset_dir", "", None, "{corpus} is not a directory"),
+    # a file in the dataset root's place is read as JSONL
+    ("dataset_dir", "", '{"ontology": "AWO"}', "{corpus}:1: missing field 'id'"),
     ("dataset_dir", "awo/manifest.json", "{oops", "{corpus}/awo/manifest.json: invalid JSON"),
     ("dataset_dir", "awo/manifest.json", '["AWO"]',
      "{corpus}/awo/manifest.json: expected a JSON object"),
@@ -484,7 +538,7 @@ GOOD_RECORD = {"id": "q1", "ontology": "AWO", "cq": "Which plants eat animals?"}
      "{corpus}/awo/manifest.json: 'prefixes' must be an object"),
     ("dataset_dir", "awo/questions", None, "{corpus}/awo: missing questions/ directory"),
     ("dataset_dir", "awo/questions/q1.txt", "Which [plants eat animals?",
-     "{corpus}/awo/questions/q1.txt: unclosed '[' at offset 6"),
+     "{corpus}/awo/questions/q1.txt:1: unclosed '[' at offset 6"),
 ], ids=["not-an-object", "unknown-field", "missing-cq", "empty-id", "int-ontology",
         "empty-cq", "int-query", "answers-string", "answers-int", "root-not-a-directory",
         "manifest-not-json", "manifest-not-an-object", "empty-ontology",
@@ -503,13 +557,11 @@ def test_malformed_corpus_exit_1_naming_file_line_and_field(tmp_path, capsys, la
         (corpus / "awo" / "questions" / "q1.txt").write_text(
             "Which plants eat animals?\n", encoding="utf-8")
         path = corpus / bad
-        if content is None:  # the directory goes; an empty file takes the root's place
+        if path.is_dir():  # the directory goes; a file may take its place
             shutil.rmtree(path)
-            if path == corpus:
-                path.write_text("", encoding="utf-8")
-        else:
+        if content is not None:
             path.write_text(content, encoding="utf-8")
-    assert run("validate", "--corpus", corpus, "--format", layout) == 1
+    assert run("validate", "--corpus", corpus) == 1
     assert capsys.readouterr().err.startswith("error: " + message.format(corpus=corpus))
 
 

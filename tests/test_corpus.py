@@ -31,7 +31,7 @@ def test_load_jsonl_basic(tmp_path):
         json.dumps({"id": "swo20", "ontology": "SWO",
                     "cq": "What is the valid input for [this software]?"}),
     ])
-    corpus = load_corpus(path, format="jsonl")
+    corpus = load_corpus(path)
     assert len(corpus.questions) == 2
     awo6 = corpus.question("awo_6")
     assert awo6.placeholders == ()
@@ -46,7 +46,7 @@ def test_load_jsonl_basic(tmp_path):
 def test_empty_file_is_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
-    corpus = load_corpus(path, format="jsonl")
+    corpus = load_corpus(path)
     assert corpus.questions == []
 
 
@@ -55,17 +55,17 @@ def test_duplicate_id_rejected(tmp_path):
     record = json.dumps({"id": "x1", "ontology": "AWO", "cq": "Which plants eat animals?"})
     write_lines(path, [record, record])
     with pytest.raises(CorpusError, match="x1"):
-        load_corpus(path, format="jsonl")
+        load_corpus(path)
 
 
 def test_malformed_record_reports_line_and_field(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_lines(path, [json.dumps({"id": "x1", "ontology": "AWO"})])
     with pytest.raises(CorpusError, match=r"bad.jsonl:1.*'cq'"):
-        load_corpus(path, format="jsonl")
+        load_corpus(path)
     write_lines(path, ["{not json"])
     with pytest.raises(CorpusError, match="invalid JSON"):
-        load_corpus(path, format="jsonl")
+        load_corpus(path)
 
 
 @pytest.mark.parametrize("field", ["id", "cq", "query"])
@@ -78,10 +78,10 @@ def test_lone_surrogate_escape_rejected(tmp_path, field):
     write_lines(path, [json.dumps({"id": "x0", "ontology": "AWO", "cq": "Which tools?"}),
                        json.dumps(record)])
     with pytest.raises(CorpusError, match=r"odd.jsonl:2: .*lone surrogate"):
-        load_corpus(path, format="jsonl")
+        load_corpus(path)
     record[field] = record[field][:-1] + "😀"  # a pair is one character
     write_lines(path, [json.dumps(record)])
-    assert load_corpus(path, format="jsonl").questions[0].id.startswith("x1")
+    assert load_corpus(path).questions[0].id.startswith("x1")
 
 
 def test_unbalanced_brackets_rejected(tmp_path):
@@ -89,7 +89,7 @@ def test_unbalanced_brackets_rejected(tmp_path):
     write_lines(path, [json.dumps({"id": "x1", "ontology": "AWO",
                                    "cq": "What is [broken?"})])
     with pytest.raises(CorpusError, match="unclosed"):
-        load_corpus(path, format="jsonl")
+        load_corpus(path)
 
 
 def test_placeholder_spans_pure_function():
@@ -125,7 +125,7 @@ def test_dataset_dir_importer(tmp_path):
         "SELECT ?x WHERE { ?x rdfs:subClassOf awo:plant }")
     (onto / "questions" / "awo_2.txt").write_text("Is [this animal] a herbivore?\n")
 
-    corpus = load_corpus(root, format="dataset_dir")
+    corpus = load_corpus(root)
     assert [q.id for q in corpus.questions] == ["awo_1", "awo_2"]
     assert corpus.question("awo_1").query_text is not None
     assert corpus.question("awo_2").query_text is None
@@ -136,7 +136,7 @@ def test_dataset_dir_missing_manifest(tmp_path):
     root = tmp_path / "dataset"
     (root / "broken" / "questions").mkdir(parents=True)
     with pytest.raises(CorpusError, match="manifest.json"):
-        load_corpus(root, format="dataset_dir")
+        load_corpus(root)
 
 
 def test_dataset_dir_manifest_with_lone_surrogate_rejected(tmp_path):
@@ -145,7 +145,7 @@ def test_dataset_dir_manifest_with_lone_surrogate_rejected(tmp_path):
     (onto / "questions" / "q1.txt").write_text("Which plants eat animals?", encoding="utf-8")
     (onto / "manifest.json").write_text(json.dumps({"ontology": "AW\ud800O"}), encoding="utf-8")
     with pytest.raises(CorpusError, match=r"awo/manifest.json: .*lone surrogate"):
-        load_corpus(tmp_path / "dataset", format="dataset_dir")
+        load_corpus(tmp_path / "dataset")
 
 
 def test_unknown_ontology_reference_rejected():
@@ -165,7 +165,7 @@ def test_unparseable_query_retained_and_flagged(tmp_path):
                     "cq": "Which animals eat plants?",
                     "query": "ASK WHERE { }"}),
     ])
-    corpus = load_corpus(path, format="jsonl")
+    corpus = load_corpus(path)
     assert len(corpus.questions) == 2  # the broken one is retained
     asts, errors = corpus.parse_queries()
     assert set(asts) == {"x2"}
@@ -184,7 +184,7 @@ def test_translatability_ordering_and_totals(tmp_path):
         json.dumps({"id": "b1", "ontology": "B", "cq": "Which animals eat plants?"}),
         json.dumps({"id": "b2", "ontology": "B", "cq": "Which plants eat animals too?"}),
     ])
-    rows, _ = translatability_report(load_corpus(path, format="jsonl"))
+    rows, _ = translatability_report(load_corpus(path))
     assert [(r.ontology, r.cq_count, r.translated_count) for r in rows] == [
         ("B", 2, 0), ("A", 1, 1), ("Total", 3, 1),
     ]
@@ -204,7 +204,7 @@ def test_duplicate_id_names_both_lines(tmp_path):
     other = json.dumps({"id": "b", "ontology": "AWO", "cq": "Which animals eat plants?"})
     write_lines(path, [first, "", other, first])
     with pytest.raises(CorpusError) as exc:
-        load_corpus(path, format="jsonl")
+        load_corpus(path)
     assert str(exc.value) == f"{path}:4: duplicate CQ id 'a' (first at {path}:1)"
 
 
@@ -222,7 +222,7 @@ def test_dataset_dir_duplicates_name_both_files(tmp_path):
     _ontology_dir(root, "a", "SWO", ["q1"])
     _ontology_dir(root, "b", "SWO", ["q2"])
     with pytest.raises(CorpusError) as exc:
-        load_corpus(root, format="dataset_dir")
+        load_corpus(root)
     assert str(exc.value) == (f"{root / 'b' / 'manifest.json'}: duplicate ontology "
                               f"'SWO' (first at {root / 'a' / 'manifest.json'})")
 
@@ -231,7 +231,7 @@ def test_dataset_dir_duplicates_name_both_files(tmp_path):
     _ontology_dir(root, "b", "SWO", ["q1"])
     first, second = (root / d / "questions" / "q1.txt" for d in ("a", "b"))
     with pytest.raises(CorpusError) as exc:
-        load_corpus(root, format="dataset_dir")
+        load_corpus(root)
     assert str(exc.value) == f"{second}: duplicate CQ id 'q1' (first at {first})"
 
 

@@ -191,12 +191,10 @@ def test_conllu_reader_and_matching(tmp_path):
     path.write_text(CONLLU, encoding="utf-8")
     sentences = read_conllu(path)
     assert len(sentences) == 2
-    tokens = annotate("Which plants eat animals?", source="conllu",
-                      conllu_path=path)
+    tokens = annotate("Which plants eat animals?", path)
     assert [t.pos for t in tokens] == ["PRON", "NOUN", "VERB", "NOUN", "PUNCT"]
     chunks = identify_chunks(tokens)
-    sentence = annotate_sentence("t", "Which plants eat animals?",
-                                 source="conllu", conllu_path=path)
+    sentence = annotate_sentence("t", "Which plants eat animals?", path)
     assert to_pattern_candidate(sentence) == "Which EC1 PC1 EC2"
     assert len(chunks) == 3
 
@@ -204,8 +202,7 @@ def test_conllu_reader_and_matching(tmp_path):
 def test_conllu_aux_link_drives_discontinuous_pc(tmp_path):
     path = tmp_path / "sample.conllu"
     path.write_text(CONLLU, encoding="utf-8")
-    sentence = annotate_sentence("t", "Does a lion eat plants?",
-                                 source="conllu", conllu_path=path)
+    sentence = annotate_sentence("t", "Does a lion eat plants?", path)
     assert to_pattern_candidate(sentence) == "PC1 EC1 PC1 EC2"
 
 
@@ -213,8 +210,7 @@ def test_conllu_mismatch_errors(tmp_path):
     path = tmp_path / "sample.conllu"
     path.write_text(CONLLU, encoding="utf-8")
     with pytest.raises(AnnotationError):
-        annotate("A sentence that is not there?", source="conllu",
-                 conllu_path=path)
+        annotate("A sentence that is not there?", path)
     bad = tmp_path / "bad.conllu"
     bad.write_text("1\tonly\tthree\tcolumns\n", encoding="utf-8")
     with pytest.raises(AnnotationError):
@@ -261,7 +257,7 @@ def test_conllu_part_after_a_content_verb_joins_its_pc_unless_a_verb_follows(
     # CoNLL-U file reaches the joining branch
     path = tmp_path / "part.conllu"
     path.write_text(_conllu(tokens), encoding="utf-8")
-    sentence = annotate_sentence("t", text, source="conllu", conllu_path=path)
+    sentence = annotate_sentence("t", text, path)
     assert to_pattern_candidate(sentence) == expected
     assert next(c for c in sentence.chunks if c.label == "PC1").surface_text == pc
 

@@ -314,11 +314,34 @@ def test_language_tagged_literals_round_trip():
     (r"a\ub", "a\\ub"),
     ("a\x00b", "a\x00b"),  # the NUL is a character, not a marker for a backslash
     (r"\r\b\f\'", "\r\b\f'"),  # the rest of SPARQL's ECHAR set
+    (r"\u0041B", "AB"),  # a UCHAR, as in Turtle's string grammar
+    (r"\U0001F981\u00e9", "\U0001F981\u00e9"),
+    (r"\\u0041", "\\u0041"),  # an escaped backslash, then text
 ])
 def test_string_escapes_read_in_one_pass(escaped, lexical):
     ast = parse_query(f'ASK {{ ?x awo:p "{escaped}" . }}', PREFIXES)
     assert ast.where.items[0].triples[0].objects[0].lexical == lexical
     assert parse_query(serialize_query(ast), PREFIXES) == ast
+
+
+@pytest.mark.parametrize("escaped", [r"\uD800", r"\uDFFF", r"\U00110000"])
+def test_uchar_naming_no_character_is_a_parse_error(escaped):
+    # a surrogate or a code point above U+10FFFF is no character that a
+    # UTF-8 output can hold
+    with pytest.raises(QueryParseError) as err:
+        parse_query(f'ASK {{\n  ?x awo:p "a{escaped}" . }}', PREFIXES)
+    assert f"{escaped} names no character" in str(err.value)
+    assert (err.value.line, err.value.col) == (2, 14)
+
+
+def test_single_quoted_literals_read_as_double_quoted_ones():
+    ast = parse_query("ASK { ?x rdfs:label 'lion' . }", PREFIXES)
+    assert ast == parse_query('ASK { ?x rdfs:label "lion" . }', PREFIXES)
+    ast = parse_query(r"""ASK { ?x rdfs:label 'it\'s "Leo"'@en . }""", PREFIXES)
+    assert ast.where.items[0].triples[0].objects == (Literal('it\'s "Leo"', lang="en"),)
+    text = serialize_query(ast)
+    assert '"it\'s \\"Leo\\""@en' in text
+    assert parse_query(text, PREFIXES) == ast
 
 
 def test_literals_are_written_on_one_line_and_read_back():
