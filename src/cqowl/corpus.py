@@ -5,7 +5,8 @@ fields ``id``, ``ontology``, ``cq``, optional ``query`` and ``answers``.
 Placeholder spans are never stored; they are re-derived by scanning the CQ
 text for ``[...]`` segments.  A directory layout with one query per file is
 supported as an importer (``<root>/<ontology>/manifest.json`` plus
-``questions/*.txt`` and ``queries/*.rq`` paired by basename).
+``questions/*.txt`` and ``queries/*.rq`` paired by basename; an unpaired
+query or another file in ``questions/`` is an error, a hidden file is not).
 :func:`load_corpus` reads a directory as that layout and any other path
 as JSON Lines, so the path alone names the format.
 
@@ -79,14 +80,15 @@ class CompetencyQuestion(Record):
         return bool(self.placeholders)
 
 
-class Corpus(Record, frozen=False):
+class Corpus(Record):
     ontologies: list[OntologyId]
     questions: list[CompetencyQuestion]
 
     def __post_init__(self):
         # indexes derived from the two fields, so they are not fields
-        self._onto_by_name = _index(self.ontologies, "short_name", "ontologies", "ontology")
-        self._by_id = _index(self.questions, "id", "questions", "CQ id")
+        object.__setattr__(self, "_onto_by_name", _index(
+            self.ontologies, "short_name", "ontologies", "ontology"))
+        object.__setattr__(self, "_by_id", _index(self.questions, "id", "questions", "CQ id"))
         for q in self.questions:
             if q.ontology not in self._onto_by_name:
                 raise CorpusError(
@@ -352,16 +354,27 @@ def load_dataset_dir(root: Path) -> Corpus:
         qdir = onto_dir / "questions"
         if not qdir.is_dir():
             raise CorpusError(f"{onto_dir}: missing questions/ directory")
-        for qfile in sorted(qdir.glob("*.txt")):
+        query_files = {p.stem: p for p in (onto_dir / "queries").glob("*.rq")
+                       if not p.name.startswith(".")}
+        for qfile in sorted(qdir.iterdir()):
+            if qfile.name.startswith("."):  # .DS_Store and the like
+                continue
+            if qfile.suffix != ".txt":
+                raise CorpusError(f"{qfile}: not a question file: its name must "
+                                  "end in .txt")
             cq_id = qfile.stem
             raw = read_text(qfile)
             text = raw.strip()
             first_line = raw[:raw.find(text)].count("\n") + 1
-            query_file = onto_dir / "queries" / f"{cq_id}.rq"
-            query = read_text(query_file) if query_file.exists() else None
+            query_file = query_files.pop(cq_id, None)
+            query = None if query_file is None else read_text(query_file)
             questions.append(_question(f"{qfile}:{first_line}", cq_id, name,
                                        text, query))
             where["questions"].append(str(qfile))
+        if query_files:
+            orphan = min(query_files.values())
+            raise CorpusError(f"{orphan}: a query without a question: no questions/"
+                              f"{orphan.stem}.txt")
     return _located_corpus(ontologies, questions, where)
 
 

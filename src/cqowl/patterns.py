@@ -25,7 +25,7 @@ class CandidateRecord(Record):
     text: str
 
 
-class Pattern(Record, frozen=False):
+class Pattern(Record):
     text: str
     level: str
     support: list[str] = Factory(list)
@@ -214,8 +214,8 @@ def higher_level_inventory(patterns: Sequence[Pattern]) -> list[Pattern]:
         if existing is None:
             merged[text] = Pattern(text, "higher", list(p.support), set(p.ontologies))
         else:
-            existing.support = sorted(set(existing.support) | set(p.support))
-            existing.ontologies |= p.ontologies
+            existing.support[:] = sorted(set(existing.support) | set(p.support))
+            existing.ontologies.update(p.ontologies)
     return sorted(merged.values(), key=lambda p: p.text)
 
 

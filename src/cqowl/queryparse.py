@@ -11,11 +11,17 @@ the parser never skips syntax silently.
 Placeholder variables written ``$name`` are accepted wherever ``?name``
 variables are, as a lexical extension; the marker is preserved through
 serialization.
+
+The AST holds what a query means, not how it was spelled: brackets leave
+no node, and the verb ``a`` is the IRI of rdf:type.  The serializer
+brackets only where the grammar needs it, always writes ``FILTER (...)``,
+and writes an rdf:type verb as ``a``.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, Optional, Union as TUnion
 
 from .records import Record
@@ -110,14 +116,11 @@ class Literal(Record):
         return out
 
 
-class KeywordA(Record):
-    """The Turtle ``a`` abbreviation for rdf:type."""
+Term = TUnion[Iri, PrefixedName, BlankNodeLabel, AnonBlank, Variable, Literal]
 
-    def __str__(self) -> str:
-        return "a"
-
-
-Term = TUnion[Iri, PrefixedName, BlankNodeLabel, AnonBlank, Variable, Literal, KeywordA]
+# the verb ``a`` (SPARQL 1.1, 4.2.4): the parser reads it as this term, and
+# the serializer writes this term as ``a`` where it is a predicate
+_RDF_TYPE = Iri(WELL_KNOWN_PREFIXES["rdf"] + "type")
 
 
 class PathZeroOrMore(Record):
@@ -206,11 +209,7 @@ class TermRef(Record):
     term: Term
 
 
-class Paren(Record):
-    inner: "Expr"
-
-
-Expr = TUnion[Compare, And, Or, In, FnCall, Arith, TermRef, Paren]
+Expr = TUnion[Compare, And, Or, In, FnCall, Arith, TermRef]
 
 
 # Graph patterns ---------------------------------------------------------------
@@ -486,7 +485,7 @@ class _Parser:
                 (kind, value) != ("NAME", "a"):
             raise self.error("expected predicate")
         # SPARQL admits ``a`` as a verb only, so it is read here, not as a term
-        term = KeywordA() if self.accept("NAME") else self._parse_term()
+        term = _RDF_TYPE if self.accept("NAME") else self._parse_term()
         return PathZeroOrMore(term) if self.accept("*") else term
 
     def _parse_node(self, allow_literal: bool = True) -> Node:
@@ -583,7 +582,7 @@ class _Parser:
         if self.accept("("):
             inner = self._parse_expr()
             self.expect(")")
-            return Paren(inner)
+            return inner
         if kind == "NAME" and value.lower() in _BUILTIN_FNS:
             self.pos += 1
             return self._parse_call(_BUILTIN_FNS[value.lower()])
@@ -636,7 +635,8 @@ def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAs
 
 
 def serialize_query(ast: QueryAst) -> str:
-    """Pretty-print an AST; ``parse(serialize(ast))`` is structurally equal.
+    """Pretty-print an AST; for every AST, ``parse(serialize(ast))`` is
+    structurally equal.
 
     The query's own PREFIX declarations are written; prefixes it took from
     an external table must be passed to the parse again.
@@ -670,10 +670,7 @@ def _render_pattern(item: GraphPattern, depth: int, pad: str) -> str:
     if isinstance(item, Bgp):
         return "\n".join(pad + line for line in _render_bgp(item, depth))
     if isinstance(item, Filter):
-        # a bare name would run on into a collection subject after it and
-        # re-parse as a function call, so only a closing ")" may end it
-        expr = _render_expr(item.expr)
-        return pad + "FILTER " + expr + ("" if expr.endswith(")") else " .")
+        return pad + f"FILTER ({_render_expr(item.expr)})"
     if isinstance(item, NotExists):
         return pad + "FILTER NOT EXISTS " + _render_group(item.pattern, depth)
     if isinstance(item, Bind):
@@ -688,25 +685,17 @@ def _render_pattern(item: GraphPattern, depth: int, pad: str) -> str:
 
 
 def _render_bgp(bgp: Bgp, depth: int) -> list[str]:
+    """One line per run of triples with one subject, their pairs joined by ``;``."""
     lines: list[str] = []
-    i = 0
-    triples = bgp.triples
-    while i < len(triples):
-        subject = triples[i].subject
-        run = [triples[i]]
-        j = i + 1
-        while j < len(triples) and triples[j].subject == subject:
-            run.append(triples[j])
-            j += 1
-        subj_text = _render_node(subject, depth)
+    for subject, run in groupby(bgp.triples, key=lambda t: t.subject):
         parts = [_render_pair(t.predicate, t.objects, depth) for t in run]
-        lines.append(subj_text + " " + " ; ".join(parts) + " .")
-        i = j
+        lines.append(_render_node(subject, depth) + " " + " ; ".join(parts) + " .")
     return lines
 
 
 def _render_pair(predicate, objects: tuple[Node, ...], depth: int) -> str:
-    return f"{predicate} " + ", ".join(_render_node(o, depth) for o in objects)
+    verb = "a" if predicate == _RDF_TYPE else str(predicate)
+    return f"{verb} " + ", ".join(_render_node(o, depth) for o in objects)
 
 
 def _render_node(node: Node, depth: int) -> str:
@@ -720,25 +709,34 @@ def _render_node(node: Node, depth: int) -> str:
     return str(node)
 
 
-def _render_expr(expr: Expr) -> str:
-    if isinstance(expr, Paren):
-        return "(" + _render_expr(expr.inner) + ")"
-    if isinstance(expr, (Compare, Arith)):
-        return f"{_render_expr(expr.left)} {expr.op} {_render_expr(expr.right)}"
-    if isinstance(expr, And):
-        return " && ".join(_render_expr(p) for p in expr.parts)
-    if isinstance(expr, Or):
-        return " || ".join(_render_expr(p) for p in expr.parts)
-    if isinstance(expr, In):
+# how tightly each expression node binds, as the parser's grammar levels
+# rank them: || < && < =/!=/IN < +/- < a term or a call
+_BINDING = {Or: 0, And: 1, Compare: 2, In: 2, Arith: 3, FnCall: 4, TermRef: 4}
+
+
+def _render_expr(expr: Expr, need: int = 0) -> str:
+    """``expr`` as text, bracketed if it binds looser than ``need``: an
+    operand needs the level above its operator's, but the left operand of
+    arithmetic, which is left-associative, needs only the operator's."""
+    kind = type(expr)
+    level = _BINDING.get(kind)
+    if kind is Or or kind is And:
+        text = (" || " if kind is Or else " && ").join(
+            _render_expr(p, level + 1) for p in expr.parts)
+    elif kind is Compare or kind is Arith:
+        left = _render_expr(expr.left, level if kind is Arith else level + 1)
+        text = f"{left} {expr.op} {_render_expr(expr.right, level + 1)}"
+    elif kind is In:
         opts = ", ".join(_render_expr(o) for o in expr.options)
-        return f"{_render_expr(expr.needle)} IN ({opts})"
-    if isinstance(expr, FnCall):
-        name = expr.name if isinstance(expr.name, str) else str(expr.name)
+        text = f"{_render_expr(expr.needle, level + 1)} IN ({opts})"
+    elif kind is FnCall:
         args = ", ".join(_render_expr(a) for a in expr.args)
-        return f"{name}({args})"
-    if isinstance(expr, TermRef):
-        return str(expr.term)
-    raise TypeError(f"unknown expression node {expr!r}")
+        text = f"{expr.name}({args})"
+    elif kind is TermRef:
+        text = str(expr.term)
+    else:
+        raise TypeError(f"unknown expression node {expr!r}")
+    return f"({text})" if level < need else text
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +788,6 @@ def resolve_term(term: Term, prefixes: dict[str, str]) -> Optional[str]:
                 f"prefix {term.prefix!r} is not declared for this query"
             )
         return ns + term.local
-    if isinstance(term, KeywordA):
-        return WELL_KNOWN_PREFIXES["rdf"] + "type"
     return None
 
 
@@ -811,8 +807,8 @@ _namespace_head = lru_cache(maxsize=256)(_vocabulary_head)
 
 
 def vocabulary_name(term: Term, prefixes: dict[str, str]) -> Optional[str]:
-    """``prefix:local`` for a term in the rdf/rdfs/owl/xsd vocabulary (``a``
-    is ``rdf:type``), None for any other term.  A prefixed name's IRI is its
+    """``prefix:local`` for a term in the rdf/rdfs/owl/xsd vocabulary, None
+    for any other term.  A prefixed name's IRI is its
     namespace followed by its local part (SPARQL 1.1, 4.1.1), so the answer
     is decided once per namespace."""
     kind = type(term)
@@ -825,7 +821,7 @@ def vocabulary_name(term: Term, prefixes: dict[str, str]) -> Optional[str]:
         return None if head is None else _vocabulary_head(resolve_term(term, prefixes)) or None
     if kind is Iri:
         return _vocabulary_head(term.value) or None
-    return "rdf:type" if kind is KeywordA else None
+    return None
 
 
 def _walk(node) -> Iterator:
@@ -858,7 +854,7 @@ def keyword_presence(ast: QueryAst) -> set[str]:
         present.add("DISTINCT")
     prefixes = ast.prefixes()
     for node in _walk(ast.where):
-        if isinstance(node, (Iri, PrefixedName, KeywordA)):
+        if isinstance(node, (Iri, PrefixedName)):
             keyword = _KEYWORD_OF_NAME.get(vocabulary_name(node, prefixes))
             if keyword is not None:
                 present.add(keyword)

@@ -6,10 +6,10 @@ The base supplies positional and keyword construction, a call to the
 subclass's ``__post_init__`` (if it defines one, to check the fields), a
 ``repr`` naming every field, and equality on the exact type plus the field
 values.  ``cls._fields`` names the fields and
-``record._astuple()`` gives their values.  Records are frozen unless the
-class is declared ``frozen=False``: a frozen record raises
-``AttributeError`` on assigning or deleting an attribute and hashes on its
-type and values; a mutable one is unhashable.
+``record._astuple()`` gives their values.  Records are frozen: a record
+raises ``AttributeError`` on assigning or deleting an attribute, and
+hashes on its type and values, so one holding a list or a set is
+unhashable, though that list or set may still change in place.
 
 The base generates no code, so defining a record costs about as much as
 defining a plain class.  It is set up by ``__init_subclass__`` rather than
@@ -38,17 +38,13 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._astuple = _values_getter(cls._fields)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields
                          if name in vars(cls)}
         cls._has_post_init = hasattr(cls, "__post_init__")
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields

@@ -59,11 +59,9 @@ from .queryparse import (
     Group,
     In,
     Iri,
-    KeywordA,
     Literal,
     NotExists,
     Or,
-    Paren,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
@@ -119,8 +117,6 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
             dt = _abstract_term(term.datatype, prefixes)
             return [LIT_TOKEN + "^^" + "".join(dt)]
         return [LIT_TOKEN]
-    if kind is KeywordA:
-        return ["rdf:type"]
     if kind is AnonBlank:
         return ["[]"]
     raise TypeError(f"cannot abstract term {term!r}")
@@ -403,8 +399,6 @@ class _Canonicalizer:
             sep = " && " if kind is And else " || "
             return _Node("" if top else "(", sep, "" if top else ")", order="seq",
                          children=[self._abstract_expr(p) for p in expr.parts])
-        if kind is Paren:
-            return self._abstract_expr(expr.inner, top)
         if kind is In:
             return _Node(sep=" IN ", children=[
                 self._operand(expr.needle),
@@ -422,8 +416,6 @@ class _Canonicalizer:
     def _operand(self, expr: Expr) -> _Node | list:
         """``expr`` as an operand of a comparison, ``IN`` or arithmetic: a
         comparison or ``IN`` there renders in brackets, as SPARQL requires."""
-        while type(expr) is Paren:
-            expr = expr.inner
         node = self._abstract_expr(expr)
         if type(expr) is Compare or type(expr) is In:
             return _Node("(", suffix=")", children=[node])
@@ -547,7 +539,7 @@ def render_in_source_order(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES
     return worker.render_query(ast)
 
 
-class SignatureGroup(Record, frozen=False):
+class SignatureGroup(Record):
     signature: Signature
     member_ids: list[str]
 

@@ -539,10 +539,15 @@ GOOD_RECORD = {"id": "q1", "ontology": "AWO", "cq": "Which plants eat animals?"}
     ("dataset_dir", "awo/questions", None, "{corpus}/awo: missing questions/ directory"),
     ("dataset_dir", "awo/questions/q1.txt", "Which [plants eat animals?",
      "{corpus}/awo/questions/q1.txt:1: unclosed '[' at offset 6"),
+    ("dataset_dir", "awo/queries/q9.rq", "ASK { ?x a ?y }",
+     "{corpus}/awo/queries/q9.rq: a query without a question: no questions/q9.txt"),
+    ("dataset_dir", "awo/questions/q2.TXT", "Which animals eat plants?",
+     "{corpus}/awo/questions/q2.TXT: not a question file: its name must end in .txt"),
 ], ids=["not-an-object", "unknown-field", "missing-cq", "empty-id", "int-ontology",
         "empty-cq", "int-query", "answers-string", "answers-int", "root-not-a-directory",
         "manifest-not-json", "manifest-not-an-object", "empty-ontology",
-        "prefixes-not-an-object", "no-questions-directory", "unclosed-bracket"])
+        "prefixes-not-an-object", "no-questions-directory", "unclosed-bracket",
+        "query-without-question", "question-not-txt"])
 def test_malformed_corpus_exit_1_naming_file_line_and_field(tmp_path, capsys, layout,
                                                             bad, content, message):
     if layout == "jsonl":
@@ -560,6 +565,7 @@ def test_malformed_corpus_exit_1_naming_file_line_and_field(tmp_path, capsys, la
         if path.is_dir():  # the directory goes; a file may take its place
             shutil.rmtree(path)
         if content is not None:
+            path.parent.mkdir(exist_ok=True)
             path.write_text(content, encoding="utf-8")
     assert run("validate", "--corpus", corpus) == 1
     assert capsys.readouterr().err.startswith("error: " + message.format(corpus=corpus))

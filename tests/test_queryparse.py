@@ -3,19 +3,31 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqowl.queryparse import (
+    And,
+    Arith,
     Bgp,
     BlankPropertyList,
+    Compare,
     Filter,
+    FnCall,
+    Group,
+    In,
     KEYWORD_INVENTORY,
     Literal,
+    Or,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
     PrefixResolutionError,
+    QueryAst,
     QueryParseError,
     STAR,
+    TermRef,
+    TriplePattern,
     UnionPattern,
     Variable,
     keyword_presence,
@@ -251,8 +263,8 @@ def test_collections_roundtrip():
 
 
 def test_filter_on_a_bare_name_before_a_collection_roundtrips():
-    # without a closing "." the name and the collection after it re-parse
-    # as the function call ``owl:Nothing(?a)``
+    # unbracketed, the name and the collection after it would re-parse as
+    # the function call ``owl:Nothing(?a)``; a FILTER is written bracketed
     ast = parse_query("ASK { FILTER owl:Nothing . ( ?a ) rdf:type ?b . }")
     assert parse_query(serialize_query(ast)) == ast
 
@@ -353,3 +365,39 @@ def test_literals_are_written_on_one_line_and_read_back():
     assert ast.where.items[0].triples[0].objects == (Literal(lexical),)
     assert written in serialize_query(ast)
     assert parse_query(serialize_query(ast), PREFIXES) == ast
+
+
+_LEAVES = st.builds(TermRef, st.one_of(
+    st.builds(Variable, st.sampled_from("ab")),
+    st.just(PrefixedName("awo", "lion")),
+    st.builds(Literal, st.text('x"\\', max_size=2)),
+    st.builds(Literal, st.sampled_from("07"), st.just(PrefixedName("xsd", "integer"))),
+))
+
+
+def _expressions(depth: int):
+    """Expression trees at most ``depth`` nodes deep, built as the AST
+    holds them, so any nesting may need brackets to be read back."""
+    if depth == 1:
+        return _LEAVES
+    sub = _expressions(depth - 1)
+    parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        _LEAVES,
+        st.builds(Compare, st.sampled_from(["=", "!="]), sub, sub),
+        st.builds(And, parts),
+        st.builds(Or, parts),
+        st.builds(In, sub, st.lists(sub, min_size=1, max_size=2).map(tuple)),
+        st.builds(Arith, st.sampled_from("+-"), sub, sub),
+        st.builds(FnCall, st.just("STRSTARTS"), st.tuples(sub, sub)),
+        st.just(FnCall("now", ())),
+        st.builds(FnCall, st.just(PrefixedName("xsd", "dateTime")), st.tuples(sub)),
+    )
+
+
+@given(_expressions(4))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_every_expression_tree_round_trips(expr):
+    triple = TriplePattern(Variable("s"), Variable("p"), (Variable("o"),))
+    ast = QueryAst("ASK", False, None, Group((Bgp((triple,)), Filter(expr))))
+    assert parse_query(serialize_query(ast), PREFIXES).where == ast.where

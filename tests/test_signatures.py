@@ -18,7 +18,6 @@ from cqowl.queryparse import (
     Filter,
     Group,
     Literal,
-    Paren,
     PrefixedName,
     QueryAst,
     STAR,
@@ -252,7 +251,7 @@ def _random_ast(rng: random.Random) -> QueryAst:
             for _ in range(rng.randint(1, 3))
         )
         expr = conjuncts[0] if len(conjuncts) == 1 else And(conjuncts)
-        items.append(Filter(Paren(expr)))
+        items.append(Filter(expr))
     verb = rng.choice(["SELECT", "ASK"])
     projection = STAR if verb == "SELECT" else None
     return QueryAst(verb, verb == "SELECT" and rng.random() < 0.5, projection,
@@ -287,8 +286,6 @@ def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
         return map_term(n)
 
     def map_expr(e):
-        if isinstance(e, Paren):
-            return Paren(map_expr(e.inner))
         if isinstance(e, And):
             return And(tuple(map_expr(p) for p in e.parts))
         if isinstance(e, Compare):
@@ -307,8 +304,7 @@ def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
             rng.shuffle(triples)
             return Bgp(tuple(triples))
         if isinstance(item, Filter):
-            expr = map_expr(item.expr)
-            inner = expr.inner if isinstance(expr, Paren) else expr
+            inner = map_expr(item.expr)
             if isinstance(inner, And):
                 parts = list(inner.parts)
                 rng.shuffle(parts)
@@ -320,7 +316,7 @@ def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
                 inner = And(tuple(parts))
             elif isinstance(inner, Compare) and rng.random() < 0.5:
                 inner = Compare(inner.op, inner.right, inner.left)
-            return Filter(Paren(inner))
+            return Filter(inner)
         return item
 
     return _with_where(ast, Group(tuple(map_item(i) for i in ast.where.items)))
@@ -351,7 +347,7 @@ def _oracle_minimum(ast: QueryAst) -> str:
                if isinstance(item, Filter)]
 
     def filter_variants(item):
-        expr = item.expr.inner if isinstance(item.expr, Paren) else item.expr
+        expr = item.expr
         conjuncts = list(expr.parts) if isinstance(expr, And) else [expr]
         for order in itertools.permutations(conjuncts):
             swap_space = [
@@ -367,7 +363,7 @@ def _oracle_minimum(ast: QueryAst) -> str:
                     else:
                         rebuilt.append(c)
                 inner = rebuilt[0] if len(rebuilt) == 1 else And(tuple(rebuilt))
-                yield Filter(Paren(inner))
+                yield Filter(inner)
 
     best = None
     for perm in itertools.permutations(bgp.triples):

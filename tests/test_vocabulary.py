@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from cqowl.queryparse import (
     Iri,
-    KeywordA,
     PrefixedName,
     PrefixResolutionError,
     Variable,
@@ -76,7 +75,8 @@ def test_a_proper_beginning_of_a_namespace_leaves_it_to_the_local_part():
 
 
 def test_names_of_other_terms_and_undeclared_prefixes():
-    assert vocabulary_name(KeywordA(), {}) == "rdf:type"
+    verb_a = parse_query("ASK { ?s a ?o }").where.items[0].triples[0].predicate
+    assert vocabulary_name(verb_a, {}) == "rdf:type"
     assert vocabulary_name(PrefixedName("rdf", "type"), WELL_KNOWN_PREFIXES) == "rdf:type"
     assert vocabulary_name(Variable("x"), {}) is None
     with pytest.raises(PrefixResolutionError, match="'zz' is not declared"):
