@@ -167,7 +167,7 @@ def signals_for(
 ) -> list[SignalRow]:
     from .correspondence import BUILTIN_RULES
 
-    return mine_signals(rules or list(BUILTIN_RULES), bundle.translated_rows())
+    return mine_signals(BUILTIN_RULES if rules is None else rules, bundle.translated_rows())
 
 
 def discovery_for(

@@ -13,7 +13,11 @@ variables are, as a lexical extension; the marker is preserved through
 serialization.
 
 The AST holds what a query means, not how it was spelled: brackets leave
-no node, and the verb ``a`` is the IRI of rdf:type.  The serializer
+no node, and the verb ``a`` is the IRI of rdf:type.  A prefixed name
+carries the namespace its prefix had where it was read, so the parser is
+the one place that resolves a prefix; an integer is an ``xsd:integer``
+literal whatever the query binds ``xsd:`` to; and each ``[ ... ]`` is its
+own blank node, however its text repeats another's.  The serializer
 brackets only where the grammar needs it, always writes ``FILTER (...)``,
 and writes an rdf:type verb as ``a``.
 """
@@ -49,10 +53,6 @@ class QueryParseError(ValueError):
         self.col = col
 
 
-class PrefixResolutionError(KeyError):
-    """A prefixed name uses a prefix absent from the query's prefix table."""
-
-
 # ---------------------------------------------------------------------------
 # AST node types
 
@@ -65,11 +65,21 @@ class Iri(Record):
 
 
 class PrefixedName(Record):
+    """``prefix:local``, carrying the namespace its prefix was bound to where
+    it was read; its IRI is that namespace followed by ``local`` (SPARQL 1.1,
+    4.1.1), so no prefix table need travel with the name."""
+
     prefix: str
     local: str
+    namespace: str
 
     def __str__(self) -> str:
         return f"{self.prefix}:{self.local}"
+
+
+# the datatype of an INTEGER token (SPARQL 1.1, 4.1.2), whatever the query
+# binds ``xsd:`` to
+_XSD_INTEGER = PrefixedName("xsd", "integer", WELL_KNOWN_PREFIXES["xsd"])
 
 
 class BlankNodeLabel(Record):
@@ -108,6 +118,8 @@ class Literal(Record):
     lang: Optional[str] = None
 
     def __str__(self) -> str:
+        if self.datatype == _XSD_INTEGER and self.lexical.isascii() and self.lexical.isdigit():
+            return self.lexical  # an INTEGER token, which reads back as this literal
         out = f'"{self.lexical.translate(_ESCAPE)}"'
         if self.datatype is not None:
             out += f"^^{self.datatype}"
@@ -152,9 +164,12 @@ class Collection(Record):
 
 
 class BlankPropertyList(Record):
-    """``[ p1 o1, o2 ; p2 o3 ]`` — predicate/object-list pairs."""
+    """``[ p1 o1, o2 ; p2 o3 ]`` — predicate/object-list pairs.  Each one is
+    its own blank node (SPARQL 1.1, 4.1.4): its id comes from the parse-order
+    count that :class:`AnonBlank` ids come from."""
 
     pairs: tuple[tuple[TUnion[Term, PropertyPath], tuple["Node", ...]], ...]
+    anon_id: int
 
 
 Node = TUnion[Term, Collection, BlankPropertyList]
@@ -254,12 +269,8 @@ class QueryAst(Record):
     distinct: bool
     projection: TUnion[str, tuple[Variable, ...], None]  # STAR, vars, or None for ASK
     where: Group
-    prefix_table: tuple[tuple[str, str], ...] = ()
     # the query's own PREFIX declarations, in order; serialization writes them
     declared_prefixes: tuple[tuple[str, str], ...] = ()
-
-    def prefixes(self) -> dict[str, str]:
-        return dict(self.prefix_table)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +390,7 @@ class _Parser:
         where = self._parse_group()
         if not self.at("EOF"):
             raise self.error("unexpected trailing content")
-        return QueryAst(verb[0], distinct, projection, where,
-                        tuple(sorted(self.prefixes.items())),
-                        tuple(self.declared.items()))
+        return QueryAst(verb[0], distinct, projection, where, tuple(self.declared.items()))
 
     def _parse_prefix_label(self) -> str:
         tok = self.accept("PNAMENS") or self.accept(":")
@@ -499,16 +508,15 @@ class _Parser:
 
     def _parse_blank_property_list(self) -> Node:
         self.expect("[")
+        anon_id = self.anon_counter
+        self.anon_counter += 1
         pairs = []
         while not self.accept("]"):
             if self.at("EOF"):
                 raise self.error("unterminated blank node property list")
             pairs.append(self._parse_predicate_objects())
             self.accept(";")
-        if pairs:
-            return BlankPropertyList(tuple(pairs))
-        self.anon_counter += 1
-        return AnonBlank(self.anon_counter - 1)
+        return BlankPropertyList(tuple(pairs), anon_id) if pairs else AnonBlank(anon_id)
 
     def _parse_collection(self) -> Collection:
         self.expect("(")
@@ -523,11 +531,12 @@ class _Parser:
         kind, value, offset = self.tokens[self.pos]
         if kind in ("PNAME", "COLONNAME"):
             prefix, local = value.split(":", 1)
-            if prefix not in self.prefixes:
+            namespace = self.prefixes.get(prefix)
+            if namespace is None:
                 raise _error_at(self.text, offset,
                                 f"prefix {prefix!r} of {value!r} is not declared")
             self.pos += 1
-            return PrefixedName(prefix, local)
+            return PrefixedName(prefix, local, namespace)
         if kind == "IRIREF":
             self.pos += 1
             return Iri(value[1:-1])
@@ -539,7 +548,7 @@ class _Parser:
             return BlankNodeLabel(value[2:])
         if kind == "INTEGER":
             self.pos += 1
-            return Literal(value, datatype=PrefixedName("xsd", "integer"))
+            return Literal(value, datatype=_XSD_INTEGER)
         if kind != "STRING":
             raise self.error("expected a term")
         self.pos += 1
@@ -586,7 +595,8 @@ class _Parser:
         if kind == "NAME" and value.lower() in _BUILTIN_FNS:
             self.pos += 1
             return self._parse_call(_BUILTIN_FNS[value.lower()])
-        if kind in ("PNAME", "COLONNAME") and self.tokens[self.pos + 1][0] == "(":
+        # SPARQL's iriOrFunction: a name or an IRI before '(' names a call
+        if kind in ("PNAME", "COLONNAME", "IRIREF") and self.tokens[self.pos + 1][0] == "(":
             return self._parse_call(self._parse_term())
         return TermRef(self._parse_term())
 
@@ -777,20 +787,6 @@ _KEYWORDS_OF_NODE = {
 }
 
 
-def resolve_term(term: Term, prefixes: dict[str, str]) -> Optional[str]:
-    """Resolve an IRI-valued term to its absolute IRI, or None for non-IRIs."""
-    if isinstance(term, Iri):
-        return term.value
-    if isinstance(term, PrefixedName):
-        ns = prefixes.get(term.prefix)
-        if ns is None:
-            raise PrefixResolutionError(
-                f"prefix {term.prefix!r} is not declared for this query"
-            )
-        return ns + term.local
-    return None
-
-
 def _vocabulary_head(start: str) -> Optional[str]:
     """The name of every IRI beginning with ``start``, up to that point:
     ``prefix:...`` inside a reserved namespace, "" when ``start`` properly
@@ -806,19 +802,18 @@ def _vocabulary_head(start: str) -> Optional[str]:
 _namespace_head = lru_cache(maxsize=256)(_vocabulary_head)
 
 
-def vocabulary_name(term: Term, prefixes: dict[str, str]) -> Optional[str]:
+def vocabulary_name(term: Term) -> Optional[str]:
     """``prefix:local`` for a term in the rdf/rdfs/owl/xsd vocabulary, None
-    for any other term.  A prefixed name's IRI is its
-    namespace followed by its local part (SPARQL 1.1, 4.1.1), so the answer
-    is decided once per namespace."""
+    for any other term.  A prefixed name carries the namespace it was read
+    under, and its IRI is that namespace followed by its local part (SPARQL
+    1.1, 4.1.1), so the answer is decided once per namespace."""
     kind = type(term)
     if kind is PrefixedName:
-        ns = prefixes.get(term.prefix)
-        head = "" if ns is None else _namespace_head(ns)
+        head = _namespace_head(term.namespace)
         if head:
             return head + term.local
-        # the IRI decides; resolve_term raises for an undeclared prefix
-        return None if head is None else _vocabulary_head(resolve_term(term, prefixes)) or None
+        # the namespace properly begins a reserved one: the whole IRI decides
+        return None if head is None else _vocabulary_head(term.namespace + term.local) or None
     if kind is Iri:
         return _vocabulary_head(term.value) or None
     return None
@@ -852,10 +847,9 @@ def keyword_presence(ast: QueryAst) -> set[str]:
     present: set[str] = {"WHERE", ast.verb}
     if ast.distinct:
         present.add("DISTINCT")
-    prefixes = ast.prefixes()
     for node in _walk(ast.where):
         if isinstance(node, (Iri, PrefixedName)):
-            keyword = _KEYWORD_OF_NAME.get(vocabulary_name(node, prefixes))
+            keyword = _KEYWORD_OF_NAME.get(vocabulary_name(node))
             if keyword is not None:
                 present.add(keyword)
         else:

@@ -101,10 +101,10 @@ class Signature(Record):
 # depends on whether the canonicalizer searches.
 
 
-def _abstract_term(term, prefixes: dict[str, str]) -> list:
+def _abstract_term(term) -> list:
     kind = type(term)
     if kind is PrefixedName or kind is Iri:
-        name = vocabulary_name(term, prefixes)
+        name = vocabulary_name(term)
         return [name or URI_TOKEN]
     if kind is Variable:
         if term.marker == "$":
@@ -114,7 +114,7 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
         return [("blank", term.label)]
     if kind is Literal:
         if term.datatype is not None:
-            dt = _abstract_term(term.datatype, prefixes)
+            dt = _abstract_term(term.datatype)
             return [LIT_TOKEN + "^^" + "".join(dt)]
         return [LIT_TOKEN]
     if kind is AnonBlank:
@@ -122,22 +122,22 @@ def _abstract_term(term, prefixes: dict[str, str]) -> list:
     raise TypeError(f"cannot abstract term {term!r}")
 
 
-def _abstract_path(pred, prefixes) -> list:
+def _abstract_path(pred) -> list:
     kind = type(pred)
     if kind is PathSequence:
-        return _joined([_abstract_path(part, prefixes) for part in pred.parts], "/")
+        return _joined([_abstract_path(part) for part in pred.parts], "/")
     if kind is PathZeroOrMore:
-        return _abstract_path(pred.inner, prefixes) + ["*"]
-    tokens = _abstract_term(pred, prefixes)
+        return _abstract_path(pred.inner) + ["*"]
+    tokens = _abstract_term(pred)
     return ["a"] if tokens == ["rdf:type"] else tokens
 
 
-def _abstract_node(node, prefixes) -> list:
+def _abstract_node(node) -> list:
     kind = type(node)
     if kind is BlankPropertyList:
         rendered_pairs = [
-            _abstract_path(pred, prefixes)
-            + _joined([_abstract_node(obj, prefixes) for obj in objects], ",")
+            _abstract_path(pred)
+            + _joined([_abstract_node(obj) for obj in objects], ",")
             for pred, objects in node.pairs
         ]
         # deterministic pair order: sort on the name-erased rendering so the
@@ -148,10 +148,10 @@ def _abstract_node(node, prefixes) -> list:
     if kind is Collection:
         out = ["("]
         for item in node.items:
-            out.extend(_abstract_node(item, prefixes))
+            out.extend(_abstract_node(item))
         out.append(")")
         return out
-    return _abstract_term(node, prefixes)
+    return _abstract_term(node)
 
 
 def _joined(token_lists: list[list], sep: str) -> list:
@@ -181,14 +181,14 @@ def _first_char(tokens: list) -> str:
     return tok[0]
 
 
-def _flatten_triples(bgp: Bgp, prefixes) -> list[list]:
+def _flatten_triples(bgp: Bgp) -> list[list]:
     """Expand object lists so each template is a single s/p/o rendering."""
     templates = []
     for triple in bgp.triples:
-        head = _abstract_node(triple.subject, prefixes)
-        head += _abstract_path(triple.predicate, prefixes)
+        head = _abstract_node(triple.subject)
+        head += _abstract_path(triple.predicate)
         for obj in triple.objects:
-            template = head + _abstract_node(obj, prefixes)
+            template = head + _abstract_node(obj)
             template.append(".")
             templates.append(template)
     return templates
@@ -332,9 +332,7 @@ class _Canonicalizer:
     One instance renders one query.
     """
 
-    def __init__(self, prefixes: dict[str, str], max_triples: int,
-                 search: bool = True):
-        self.prefixes = prefixes
+    def __init__(self, max_triples: int, search: bool = True):
         self.max_triples = max_triples
         self.search = search
         self.branches = 0
@@ -358,7 +356,7 @@ class _Canonicalizer:
             children = [self._abstract_pattern(child) for child in item.items]
             return _Node("{\n", "\n", "\n}", children=children) if children else _Node("{\n}")
         if isinstance(item, Bgp):
-            templates = _flatten_triples(item, self.prefixes)
+            templates = _flatten_triples(item)
             if len(templates) > self.max_triples:
                 raise CanonicalizationLimitExceeded(
                     f"BGP has {len(templates)} triples, over the bound of "
@@ -372,7 +370,7 @@ class _Canonicalizer:
             return _Node("FILTER NOT EXISTS ", children=[self._abstract_pattern(item.pattern)])
         if isinstance(item, Bind):
             return _Node("BIND(", " AS ", ")", children=[
-                self._abstract_expr(item.expr), _abstract_term(item.var, self.prefixes)])
+                self._abstract_expr(item.expr), _abstract_term(item.var)])
         if isinstance(item, UnionPattern):
             return _Node(sep=" UNION ", children=[
                 self._abstract_pattern(item.left), self._abstract_pattern(item.right)])
@@ -383,7 +381,7 @@ class _Canonicalizer:
         ``&&`` or ``||`` gets no parentheses."""
         kind = type(expr)
         if kind is TermRef:
-            return _abstract_term(expr.term, self.prefixes)
+            return _abstract_term(expr.term)
         if kind is Compare:
             if expr.op not in ("=", "!="):
                 raise TypeError(f"unexpected comparison {expr.op}")
@@ -405,7 +403,7 @@ class _Canonicalizer:
                 _Node("(", ", ", ")", children=[self._abstract_expr(o) for o in expr.options])])
         if kind is FnCall:
             name = expr.name if isinstance(expr.name, str) \
-                else "".join(_abstract_term(expr.name, self.prefixes))
+                else "".join(_abstract_term(expr.name))
             return _Node(name + "(", ", ", ")",
                          children=[self._abstract_expr(a) for a in expr.args])
         if kind is Arith:
@@ -521,7 +519,7 @@ class _Canonicalizer:
 
 def canonicalize(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES) -> Signature:
     """Compute the canonical URI-agnostic signature of a parsed query."""
-    worker = _Canonicalizer(ast.prefixes(), max_triples)
+    worker = _Canonicalizer(max_triples)
     skeleton = worker.render_query(ast)
     return Signature(ast.verb, ast.distinct, skeleton)
 
@@ -535,7 +533,7 @@ def render_in_source_order(ast: QueryAst, max_triples: int = DEFAULT_MAX_TRIPLES
     sequence of one class, so it too raises CanonicalizationLimitExceeded
     past ``_BRANCH_CAP``.
     """
-    worker = _Canonicalizer(ast.prefixes(), max_triples, search=False)
+    worker = _Canonicalizer(max_triples, search=False)
     return worker.render_query(ast)
 
 

@@ -130,6 +130,17 @@ def test_signatures_map_signals(tmp_path):
     assert (out / "discovered_signals.csv").exists()
 
 
+def test_an_empty_rules_file_runs_no_rules(tmp_path):
+    rules = tmp_path / "rules.json"
+    rules.write_text("[]", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("signals", "--corpus", CORPUS_PATH, "--out", out, "--emit", "csv",
+               "--rules", rules, "--paper-calibration") == 0
+    assert (out / "signals.csv").read_text(encoding="utf-8").splitlines() == [
+        "rule,signal,target,support,non_evidential"]
+    assert len((out / "signals_calibration.csv").read_text(encoding="utf-8").splitlines()) == 1
+
+
 def test_max_triples_records_skips(tmp_path):
     out = tmp_path / "out"
     assert run("signatures", "--corpus", CORPUS_PATH, "--out", out,

@@ -16,13 +16,13 @@ from cqowl.queryparse import (
     FnCall,
     Group,
     In,
+    Iri,
     KEYWORD_INVENTORY,
     Literal,
     Or,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
-    PrefixResolutionError,
     QueryAst,
     QueryParseError,
     STAR,
@@ -30,9 +30,9 @@ from cqowl.queryparse import (
     TriplePattern,
     UnionPattern,
     Variable,
+    WELL_KNOWN_PREFIXES,
     keyword_presence,
     parse_query,
-    resolve_term,
     serialize_query,
 )
 from cqowl.signatures import canonicalize
@@ -78,9 +78,9 @@ def test_property_path_sequence():
     path = pairs[0][0]
     assert isinstance(path, PathSequence)
     first, middle, last = path.parts
-    assert first == PrefixedName("owl", "unionOf")
-    assert middle == PathZeroOrMore(PrefixedName("rdf", "rest"))
-    assert last == PrefixedName("rdf", "first")
+    assert first == PrefixedName("owl", "unionOf", WELL_KNOWN_PREFIXES["owl"])
+    assert middle == PathZeroOrMore(PrefixedName("rdf", "rest", WELL_KNOWN_PREFIXES["rdf"]))
+    assert last == PrefixedName("rdf", "first", WELL_KNOWN_PREFIXES["rdf"])
 
 
 def test_minimal_ask():
@@ -102,7 +102,7 @@ def test_prefix_declaration_overrides_and_star():
     SELECT DISTINCT * WHERE { ?x ex:p ex:C }"""
     ast = parse_query(q, PREFIXES)
     assert ast.projection == STAR
-    assert ast.prefixes()["ex"] == "http://example.org/ns#"
+    assert ast.where.items[0].triples[0].predicate.namespace == "http://example.org/ns#"
 
 
 def test_comments_are_skipped():
@@ -216,9 +216,6 @@ def test_undeclared_prefix_is_a_parse_error():
     assert (err.value.line, err.value.col) == (1, 7)
     # a declaration in the query text makes the prefix known
     parse_query("PREFIX mystery: <http://x#> ASK { ?x mystery:p ?y }", {})
-    # hand-built ASTs still meet the check when their terms are resolved
-    with pytest.raises(PrefixResolutionError):
-        resolve_term(PrefixedName("mystery", "p"), PREFIXES)
 
 
 def test_keyword_presence_resolved_iris():
@@ -273,6 +270,34 @@ def test_labeled_blank_nodes():
     q = "SELECT ?x WHERE { ?x rdfs:subClassOf _:b2 . _:b2 owl:onProperty ?p . }"
     ast = parse_query(q, PREFIXES)
     assert parse_query(serialize_query(ast), PREFIXES) == ast
+
+
+def test_each_blank_property_list_is_its_own_node():
+    # two ``[ ... ]`` of equal text are two blank nodes (SPARQL 1.1, 4.1.4);
+    # written as one subject with ``;`` they would be one
+    one = parse_query("ASK { [ awo:p awo:o ] awo:q ?a ; awo:r ?b . }", PREFIXES)
+    two = parse_query("ASK { [ awo:p awo:o ] awo:q ?a . [ awo:p awo:o ] awo:r ?b . }",
+                      PREFIXES)
+    assert one != two
+    assert parse_query(serialize_query(two), PREFIXES) == two
+
+
+def test_an_integer_is_xsd_integer_whatever_xsd_is_bound_to():
+    redefined = "PREFIX xsd: <http://ex.org/>\n"
+    bare = parse_query(redefined + "ASK { ?x <http://ex.org/p> 1 }")
+    typed = parse_query(redefined + 'ASK { ?x <http://ex.org/p> "1"^^xsd:integer }')
+    assert canonicalize(bare).skeleton == "ASK WHERE {\n?v1 :URI :LIT^^xsd:integer .\n}"
+    # an explicit datatype under the redefined prefix is a domain IRI
+    assert canonicalize(typed).skeleton == "ASK WHERE {\n?v1 :URI :LIT^^:URI .\n}"
+    for ast in (bare, typed):
+        assert parse_query(serialize_query(ast)) == ast
+
+
+def test_a_call_named_by_a_full_iri_reads_as_its_prefixed_form():
+    full = parse_query("ASK { ?s ?p ?o FILTER(<http://www.w3.org/2001/XMLSchema#dateTime>(?o)"
+                       " = ?s) }")
+    prefixed = parse_query("ASK { ?s ?p ?o FILTER(xsd:dateTime(?o) = ?s) }")
+    assert canonicalize(full) == canonicalize(prefixed)
 
 
 def test_serialization_keeps_declared_prefixes():
@@ -367,11 +392,12 @@ def test_literals_are_written_on_one_line_and_read_back():
     assert parse_query(serialize_query(ast), PREFIXES) == ast
 
 
+XSD = WELL_KNOWN_PREFIXES["xsd"]
 _LEAVES = st.builds(TermRef, st.one_of(
     st.builds(Variable, st.sampled_from("ab")),
-    st.just(PrefixedName("awo", "lion")),
+    st.just(PrefixedName("awo", "lion", PREFIXES["awo"])),
     st.builds(Literal, st.text('x"\\', max_size=2)),
-    st.builds(Literal, st.sampled_from("07"), st.just(PrefixedName("xsd", "integer"))),
+    st.builds(Literal, st.sampled_from("07"), st.just(PrefixedName("xsd", "integer", XSD))),
 ))
 
 
@@ -391,7 +417,8 @@ def _expressions(depth: int):
         st.builds(Arith, st.sampled_from("+-"), sub, sub),
         st.builds(FnCall, st.just("STRSTARTS"), st.tuples(sub, sub)),
         st.just(FnCall("now", ())),
-        st.builds(FnCall, st.just(PrefixedName("xsd", "dateTime")), st.tuples(sub)),
+        st.builds(FnCall, st.just(PrefixedName("xsd", "dateTime", XSD)), st.tuples(sub)),
+        st.builds(FnCall, st.just(Iri(XSD + "dateTime")), st.tuples(sub)),
     )
 
 

@@ -35,8 +35,9 @@ def test_equality_is_keyed_on_the_exact_type():
 
 
 def test_equal_records_hash_equal():
-    a = Literal("1", datatype=PrefixedName("xsd", "integer"))
-    b = Literal("1", PrefixedName("xsd", "integer"), None)
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    a = Literal("1", datatype=PrefixedName("xsd", "integer", xsd))
+    b = Literal("1", PrefixedName("xsd", "integer", xsd), None)
     assert a == b
     assert hash(a) == hash(b)
     assert Variable("x") == Variable("x", "?") != Variable("x", "$")
@@ -81,7 +82,7 @@ def test_construction_checks_arguments():
 
 def test_post_init_checks_still_run():
     with pytest.raises(ValueError):
-        PathSequence((PrefixedName("ex", "p"),))
+        PathSequence((PrefixedName("ex", "p", "http://example.org/"),))
     with pytest.raises(ValueError):
         In(TermRef(Variable("x")), ())
 

@@ -24,6 +24,7 @@ from cqowl.queryparse import (
     TermRef,
     TriplePattern,
     Variable,
+    WELL_KNOWN_PREFIXES,
     parse_query,
 )
 from cqowl.signatures import (
@@ -37,6 +38,12 @@ from cqowl.signatures import (
 )
 
 PREFIXES = {"ex": "http://example.org/ns#", "awo": "http://example.org/awo#"}
+_NAMESPACES = {**PREFIXES, **WELL_KNOWN_PREFIXES}
+
+
+def _name(prefix: str, local: str) -> PrefixedName:
+    """``prefix:local`` as the parser reads it under ``PREFIXES``."""
+    return PrefixedName(prefix, local, _NAMESPACES[prefix])
 
 
 def test_uri_renaming_gives_equal_signature():
@@ -221,22 +228,23 @@ def _random_ast(rng: random.Random) -> QueryAst:
     n_blanks = rng.randint(0, 2)
     variables = [Variable(f"x{i}") for i in range(n_vars)]
     blanks = [BlankNodeLabel(f"b{i}") for i in range(n_blanks)]
-    iris = [PrefixedName("ex", f"C{i}") for i in range(rng.randint(1, 4))]
-    reserved = [PrefixedName("rdfs", "subClassOf"), PrefixedName("owl", "onProperty"),
-                PrefixedName("ex", "p"), PrefixedName("ex", "q")]
+    iris = [_name("ex", f"C{i}") for i in range(rng.randint(1, 4))]
+    reserved = [_name("rdfs", "subClassOf"), _name("owl", "onProperty"),
+                _name("ex", "p"), _name("ex", "q")]
+    anon_ids = itertools.count()
 
     def term(allow_literal=True):
         choices = variables + blanks + iris
         if allow_literal and rng.random() < 0.15:
-            return Literal("v", datatype=PrefixedName("xsd", "integer"))
+            return Literal("v", datatype=_name("xsd", "integer"))
         return rng.choice(choices)
 
     def node():
         if rng.random() < 0.2:
             return BlankPropertyList((
-                (PrefixedName("owl", "onProperty"), (term(False),)),
-                (PrefixedName("owl", "someValuesFrom"), (term(),)),
-            ))
+                (_name("owl", "onProperty"), (term(False),)),
+                (_name("owl", "someValuesFrom"), (term(),)),
+            ), next(anon_ids))
         return term()
 
     n_triples = rng.randint(1, 8)
@@ -255,12 +263,7 @@ def _random_ast(rng: random.Random) -> QueryAst:
     verb = rng.choice(["SELECT", "ASK"])
     projection = STAR if verb == "SELECT" else None
     return QueryAst(verb, verb == "SELECT" and rng.random() < 0.5, projection,
-                    Group(tuple(items)),
-                    tuple(sorted({**PREFIXES,
-                                  "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
-                                  "owl": "http://www.w3.org/2002/07/owl#",
-                                  "xsd": "http://www.w3.org/2001/XMLSchema#",
-                                  }.items())))
+                    Group(tuple(items)))
 
 
 def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
@@ -270,7 +273,7 @@ def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
 
     def map_term(t):
         if isinstance(t, PrefixedName) and t.prefix == "ex" and t.local.startswith("C"):
-            return iri_map.setdefault(t, PrefixedName("ex", f"R{len(iri_map)}{rng.randint(0, 9)}"))
+            return iri_map.setdefault(t, _name("ex", f"R{len(iri_map)}{rng.randint(0, 9)}"))
         if isinstance(t, Variable):
             return var_map.setdefault(t, Variable(f"w{len(var_map)}{rng.randint(0, 9)}"))
         if isinstance(t, BlankNodeLabel):
@@ -282,7 +285,7 @@ def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
             return BlankPropertyList(tuple(
                 (map_term(p), tuple(map_node(o) for o in objs))
                 for p, objs in n.pairs
-            ))
+            ), n.anon_id)
         return map_term(n)
 
     def map_expr(e):
@@ -604,7 +607,7 @@ def test_one_class_sequences_keep_global_minimum(name):
 
 
 def _branches(ast: QueryAst) -> int:
-    worker = _Canonicalizer(ast.prefixes(), 16)
+    worker = _Canonicalizer(16)
     worker.render_query(ast)
     return worker.branches
 

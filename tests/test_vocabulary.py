@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 from cqowl.queryparse import (
     Iri,
     PrefixedName,
-    PrefixResolutionError,
     Variable,
     WELL_KNOWN_PREFIXES,
     _tokenize,
     keyword_presence,
     parse_query,
-    resolve_term,
     vocabulary_name,
 )
 from cqowl.signatures import canonicalize
@@ -59,28 +57,24 @@ def splits(draw):
 @settings(max_examples=500, deadline=None)
 def test_prefixed_names_follow_the_matched_iri(split):
     namespace, local = split
-    term = PrefixedName("p", local)
-    prefixes = {"p": namespace}
-    assert vocabulary_name(term, prefixes) == _matched(resolve_term(term, prefixes))
-    assert vocabulary_name(Iri(namespace + local), {}) == _matched(namespace + local)
+    assert vocabulary_name(PrefixedName("p", local, namespace)) == _matched(namespace + local)
+    assert vocabulary_name(Iri(namespace + local)) == _matched(namespace + local)
 
 
 def test_a_proper_beginning_of_a_namespace_leaves_it_to_the_local_part():
     owl = WELL_KNOWN_PREFIXES["owl"]
-    prefixes = {"w3": "http://www.w3.org/", "o": owl[:-1]}
-    assert vocabulary_name(PrefixedName("w3", "2002/07/owl#Thing"), prefixes) == "owl:Thing"
-    assert vocabulary_name(PrefixedName("o", "#Nothing"), prefixes) == "owl:Nothing"
-    assert vocabulary_name(PrefixedName("o", "x"), prefixes) is None
-    assert vocabulary_name(PrefixedName("w3", "TR/"), prefixes) is None
+    w3 = "http://www.w3.org/"
+    assert vocabulary_name(PrefixedName("w3", "2002/07/owl#Thing", w3)) == "owl:Thing"
+    assert vocabulary_name(PrefixedName("o", "#Nothing", owl[:-1])) == "owl:Nothing"
+    assert vocabulary_name(PrefixedName("o", "x", owl[:-1])) is None
+    assert vocabulary_name(PrefixedName("w3", "TR/", w3)) is None
 
 
 def test_names_of_other_terms_and_undeclared_prefixes():
     verb_a = parse_query("ASK { ?s a ?o }").where.items[0].triples[0].predicate
-    assert vocabulary_name(verb_a, {}) == "rdf:type"
-    assert vocabulary_name(PrefixedName("rdf", "type"), WELL_KNOWN_PREFIXES) == "rdf:type"
-    assert vocabulary_name(Variable("x"), {}) is None
-    with pytest.raises(PrefixResolutionError, match="'zz' is not declared"):
-        vocabulary_name(PrefixedName("zz", "a"), {})
+    assert vocabulary_name(verb_a) == "rdf:type"
+    assert vocabulary_name(PrefixedName("rdf", "type", WELL_KNOWN_PREFIXES["rdf"])) == "rdf:type"
+    assert vocabulary_name(Variable("x")) is None
 
 
 # renamed labels of the bundled queries' rdf:, rdfs: and owl: names; the
@@ -117,7 +111,7 @@ def test_renamed_or_full_vocabulary_keeps_keywords_and_signatures(corpus, how):
         if q.id not in asts:
             continue
         ast = asts[q.id]
-        text, count = _rewrite(q.query_text, ast.prefixes(), how)
+        text, count = _rewrite(q.query_text, WELL_KNOWN_PREFIXES, how)
         rewritten += count
         other = parse_query(text, corpus.ontology(q.ontology).prefixes())
         assert keyword_presence(other) == keyword_presence(ast), q.id
