@@ -15,9 +15,11 @@ serialization.
 The AST holds what a query means, not how it was spelled: brackets leave
 no node, and the verb ``a`` is the IRI of rdf:type.  A prefixed name
 carries the namespace its prefix had where it was read, so the parser is
-the one place that resolves a prefix; an integer is an ``xsd:integer``
-literal whatever the query binds ``xsd:`` to; and each ``[ ... ]`` is its
-own blank node, however its text repeats another's.  The serializer
+the one place that resolves a prefix; a number or boolean written without
+quotes is an ``xsd:integer``, ``xsd:decimal``, ``xsd:double`` or
+``xsd:boolean`` literal whatever the query binds ``xsd:`` to, and is
+written back as it was read; and each ``[ ... ]`` is its own blank node,
+however its text repeats another's.  The serializer
 brackets only where the grammar needs it, always writes ``FILTER (...)``,
 and writes an rdf:type verb as ``a``.
 """
@@ -77,9 +79,21 @@ class PrefixedName(Record):
         return f"{self.prefix}:{self.local}"
 
 
-# the datatype of an INTEGER token (SPARQL 1.1, 4.1.2), whatever the query
-# binds ``xsd:`` to
-_XSD_INTEGER = PrefixedName("xsd", "integer", WELL_KNOWN_PREFIXES["xsd"])
+# The literals SPARQL writes without quotes (SPARQL 1.1, 19.8): the token
+# that reads each and its datatype, whatever the query binds ``xsd:`` to
+# (4.1.2).  A literal of such a datatype whose lexical form is its token is
+# written back as that token.  ``true`` and ``false`` are keywords, so the
+# lexer reads them in any case, as lower case.
+_SHORT_FORMS = {
+    kind: (re.compile(pattern), PrefixedName("xsd", local, WELL_KNOWN_PREFIXES["xsd"]))
+    for kind, pattern, local in (
+        ("DOUBLE", r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+", "double"),
+        ("DECIMAL", r"[+-]?[0-9]*\.[0-9]+", "decimal"),
+        ("INTEGER", r"[+-]?[0-9]+", "integer"),
+        ("BOOLEAN", r"true|false", "boolean"),
+    )
+}
+_SHORT_FORM_OF = {datatype: pattern for pattern, datatype in _SHORT_FORMS.values()}
 
 
 class BlankNodeLabel(Record):
@@ -118,8 +132,9 @@ class Literal(Record):
     lang: Optional[str] = None
 
     def __str__(self) -> str:
-        if self.datatype == _XSD_INTEGER and self.lexical.isascii() and self.lexical.isdigit():
-            return self.lexical  # an INTEGER token, which reads back as this literal
+        short_form = _SHORT_FORM_OF.get(self.datatype)
+        if short_form is not None and short_form.fullmatch(self.lexical):
+            return self.lexical  # a token that reads back as this literal
         out = f'"{self.lexical.translate(_ESCAPE)}"'
         if self.datatype is not None:
             out += f"^^{self.datatype}"
@@ -276,7 +291,10 @@ class QueryAst(Record):
 # ---------------------------------------------------------------------------
 # Lexer
 
+# in the order they are tried: the most frequent first, then each before
+# any that could read a prefix of it
 _TOKEN_SPEC = [
+    ("WS", r"[ \t\r\n]+"),
     ("COMMENT", r"#[^\n]*"),
     ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
     ("VAR", r"[?$][A-Za-z_][A-Za-z_0-9]*"),
@@ -285,11 +303,10 @@ _TOKEN_SPEC = [
     ("PNAME", r"[A-Za-z_][A-Za-z_0-9.-]*:[A-Za-z_0-9](?:[A-Za-z_0-9.-]*[A-Za-z_0-9-])?"),
     ("PNAMENS", r"[A-Za-z_][A-Za-z_0-9.-]*:"),
     ("COLONNAME", r":[A-Za-z_0-9](?:[A-Za-z_0-9.-]*[A-Za-z_0-9-])?"),
-    ("INTEGER", r"[0-9]+"),
     ("NAME", r"[A-Za-z_][A-Za-z_0-9]*"),
     ("LANG", r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
+    *((kind, _SHORT_FORMS[kind][0].pattern) for kind in ("DOUBLE", "DECIMAL", "INTEGER")),
     ("OP", r"!=|=|&&|\|\||\^\^|[{}()\[\].;,/*+:-]"),
-    ("WS", r"[ \t\r\n]+"),
     ("BAD", r"."),  # any other character; a newline is always WS
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
@@ -309,8 +326,9 @@ def _error_at(text: str, offset: int, message: str) -> QueryParseError:
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """``(kind, text, offset)`` tokens ending in an ``EOF`` token.
 
-    An operator's kind is its text, and a keyword's kind and text are the
-    upper-cased word, so the parser tests the kind alone.
+    An operator's kind is its text, a keyword's kind and text are the
+    upper-cased word, and ``true`` or ``false`` is a ``BOOLEAN`` whose text
+    is the lower-cased word, so the parser tests the kind alone.
     """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
@@ -320,8 +338,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             continue
         if kind == "OP":
             kind = value
-        elif kind == "NAME" and value.lower() in _KEYWORDS:
-            kind = value = value.upper()
+        elif kind == "NAME":
+            word = value.lower()
+            if word in _KEYWORDS:
+                kind = value = value.upper()
+            elif word == "true" or word == "false":
+                kind, value = "BOOLEAN", word
         elif kind == "BAD":
             raise _error_at(text, m.start(), f"unexpected character {value!r}")
         tokens.append((kind, value, m.start()))
@@ -502,7 +524,7 @@ class _Parser:
             return self._parse_blank_property_list()
         if self.at("("):
             return self._parse_collection()
-        if not allow_literal and (self.at("STRING") or self.at("INTEGER")):
+        if not allow_literal and (self.at("STRING") or self.tokens[self.pos][0] in _SHORT_FORMS):
             raise self.error("literal not allowed in subject position")
         return self._parse_term()
 
@@ -546,9 +568,9 @@ class _Parser:
         if kind == "BLANK":
             self.pos += 1
             return BlankNodeLabel(value[2:])
-        if kind == "INTEGER":
+        if kind in _SHORT_FORMS:
             self.pos += 1
-            return Literal(value, datatype=_XSD_INTEGER)
+            return Literal(value, datatype=_SHORT_FORMS[kind][1])
         if kind != "STRING":
             raise self.error("expected a term")
         self.pos += 1
@@ -582,9 +604,19 @@ class _Parser:
 
     def _parse_additive(self) -> Expr:
         left = self._parse_primary()
-        while op := self.accept("+") or self.accept("-"):
-            left = Arith(op[0], left, self._parse_primary())
-        return left
+        while True:
+            kind, value, _ = self.tokens[self.pos]
+            if kind == "+" or kind == "-":
+                self.pos += 1
+                left = Arith(kind, left, self._parse_primary())
+            elif kind in _SHORT_FORMS and value[0] in "+-":
+                # a signed number after an operand is an operator and the
+                # unsigned number (SPARQL 1.1, AdditiveExpression): ?a -1 is ?a - 1
+                self.pos += 1
+                number = Literal(value[1:], datatype=_SHORT_FORMS[kind][1])
+                left = Arith(value[0], left, TermRef(number))
+            else:
+                return left
 
     def _parse_primary(self) -> Expr:
         kind, value, _ = self.tokens[self.pos]
@@ -645,8 +677,8 @@ def parse_query(text: str, prefixes: Optional[dict[str, str]] = None) -> QueryAs
 
 
 def serialize_query(ast: QueryAst) -> str:
-    """Pretty-print an AST; for every AST, ``parse(serialize(ast))`` is
-    structurally equal.
+    """Pretty-print an AST; for every AST the parser builds,
+    ``parse(serialize(ast))`` is structurally equal.
 
     The query's own PREFIX declarations are written; prefixes it took from
     an external table must be passed to the parse again.

@@ -142,7 +142,8 @@ def _abstract_node(node) -> list:
         ]
         # deterministic pair order: sort on the name-erased rendering so the
         # key is invariant under variable/blank renaming; ties keep source
-        # order (pair permutation invariance is not part of the contract)
+        # order (pair permutation invariance is not part of the contract:
+        # row (h) of tests/test_signature_contract.py)
         rendered_pairs.sort(key=_erased)
         return ["["] + _joined(rendered_pairs, ";") + ["]"]
     if kind is Collection:
@@ -369,8 +370,9 @@ class _Canonicalizer:
         if isinstance(item, NotExists):
             return _Node("FILTER NOT EXISTS ", children=[self._abstract_pattern(item.pattern)])
         if isinstance(item, Bind):
+            # only a variable follows AS, and ``$p`` is the variable ``?p``
             return _Node("BIND(", " AS ", ")", children=[
-                self._abstract_expr(item.expr), _abstract_term(item.var)])
+                self._abstract_expr(item.expr), [("var", "?" + item.var.name)]])
         if isinstance(item, UnionPattern):
             return _Node(sep=" UNION ", children=[
                 self._abstract_pattern(item.left), self._abstract_pattern(item.right)])

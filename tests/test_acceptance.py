@@ -20,7 +20,8 @@ from cqowl.patterns import (
 from cqowl.pipeline import signals_for
 from cqowl.queryparse import keyword_report, parse_query, serialize_query
 from cqowl.signatures import canonicalize
-from tests.test_signatures import _oracle_minimum, _random_ast, _rename_terms
+from tests.strategies import oracle_minimum, rename_terms
+from tests.test_signatures import _random_ast
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -166,7 +167,7 @@ def test_criterion_7_signature_invariance():
     failures = 0
     for _ in range(1000):
         ast = _random_ast(rng)
-        mutated = _rename_terms(ast, rng)
+        mutated = rename_terms(ast, rng)
         if canonicalize(ast).skeleton != canonicalize(mutated).skeleton:
             failures += 1
     report("criterion 7a (invariance, 1000 trials)", failures == 0,
@@ -180,7 +181,7 @@ def test_criterion_7_signature_invariance():
         if len(ast.where.items[0].triples) > 4:
             continue
         checked += 1
-        if canonicalize(ast).skeleton != _oracle_minimum(ast):
+        if canonicalize(ast).skeleton != oracle_minimum(ast):
             mismatches += 1
     report("criterion 7b (brute-force minimum, <=4 triples)", mismatches == 0,
            f"{checked - mismatches}/{checked} equal to the enumerated minimum")

@@ -7,19 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqowl.queryparse import (
-    And,
     Arith,
     Bgp,
     BlankPropertyList,
-    Compare,
     Filter,
-    FnCall,
     Group,
-    In,
-    Iri,
     KEYWORD_INVENTORY,
     Literal,
-    Or,
     PathSequence,
     PathZeroOrMore,
     PrefixedName,
@@ -35,7 +29,11 @@ from cqowl.queryparse import (
     parse_query,
     serialize_query,
 )
+from cqowl import queryparse
+from cqowl.queryparse import _walk
+from cqowl.records import Record
 from cqowl.signatures import canonicalize
+from tests.strategies import PREFIXES as DRAWN_PREFIXES, SHORT_FORMS, expressions, queries
 
 PREFIXES = {
     "awo": "http://www.meteck.org/teaching/ontologies/AfricanWildlifeOntology1.owl#",
@@ -43,6 +41,11 @@ PREFIXES = {
     "stuff": "http://www.meteck.org/files/ontologies/stuff.owl#",
     "": "http://www.meteck.org/files/ontologies/stuff.owl#",
 }
+
+
+def _xsd(local: str) -> PrefixedName:
+    return PrefixedName("xsd", local, WELL_KNOWN_PREFIXES["xsd"])
+
 
 PLANT_EATERS = """SELECT DISTINCT ?eats
 WHERE {
@@ -170,6 +173,31 @@ _MUTATION_PIECES = list('{}()[].;,/*+-:=!&|^<>"?$_#@\\\n\t xa0') + [
 ]
 
 
+def _mutated(text: str, rng) -> str:
+    """``text`` after one to three random edits, each deleting, inserting or
+    replacing at one place with a piece of ``_MUTATION_PIECES``."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        piece = rng.choice(_MUTATION_PIECES)
+        text = rng.choice((text[:i] + text[i + 1:], text[:i] + piece + text[i:],
+                           text[:i] + piece + text[i + 1:]))
+    return text
+
+
+def _check_mutated(text: str, prefixes) -> bool:
+    """Whether ``text`` parses; if it does, its AST survives serialization,
+    and if not, the QueryParseError lies inside the text."""
+    try:
+        ast = parse_query(text, prefixes)
+    except QueryParseError as exc:
+        lines = text.split("\n")
+        assert 1 <= exc.line <= len(lines), text
+        assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, text
+        return False
+    assert parse_query(serialize_query(ast), prefixes) == ast, text
+    return True
+
+
 def test_mutated_queries_round_trip_or_raise_parse_errors(corpus):
     # seeded character edits of the bundled queries: each result either
     # parses to an AST that survives serialization, or is a QueryParseError
@@ -180,20 +208,7 @@ def test_mutated_queries_round_trip_or_raise_parse_errors(corpus):
     parsed = 0
     for _ in range(2500):
         text, prefixes = rng.choice(queries)
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randrange(len(text) + 1)
-            piece = rng.choice(_MUTATION_PIECES)
-            text = rng.choice((text[:i] + text[i + 1:], text[:i] + piece + text[i:],
-                               text[:i] + piece + text[i + 1:]))
-        try:
-            ast = parse_query(text, prefixes)
-        except QueryParseError as exc:
-            lines = text.split("\n")
-            assert 1 <= exc.line <= len(lines), text
-            assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, text
-            continue
-        parsed += 1
-        assert parse_query(serialize_query(ast), prefixes) == ast, text
+        parsed += _check_mutated(_mutated(text, rng), prefixes)
     assert 100 < parsed < 2400  # both outcomes are well represented
 
 
@@ -392,39 +407,71 @@ def test_literals_are_written_on_one_line_and_read_back():
     assert parse_query(serialize_query(ast), PREFIXES) == ast
 
 
-XSD = WELL_KNOWN_PREFIXES["xsd"]
-_LEAVES = st.builds(TermRef, st.one_of(
-    st.builds(Variable, st.sampled_from("ab")),
-    st.just(PrefixedName("awo", "lion", PREFIXES["awo"])),
-    st.builds(Literal, st.text('x"\\', max_size=2)),
-    st.builds(Literal, st.sampled_from("07"), st.just(PrefixedName("xsd", "integer", XSD))),
-))
-
-
-def _expressions(depth: int):
-    """Expression trees at most ``depth`` nodes deep, built as the AST
-    holds them, so any nesting may need brackets to be read back."""
-    if depth == 1:
-        return _LEAVES
-    sub = _expressions(depth - 1)
-    parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
-    return st.one_of(
-        _LEAVES,
-        st.builds(Compare, st.sampled_from(["=", "!="]), sub, sub),
-        st.builds(And, parts),
-        st.builds(Or, parts),
-        st.builds(In, sub, st.lists(sub, min_size=1, max_size=2).map(tuple)),
-        st.builds(Arith, st.sampled_from("+-"), sub, sub),
-        st.builds(FnCall, st.just("STRSTARTS"), st.tuples(sub, sub)),
-        st.just(FnCall("now", ())),
-        st.builds(FnCall, st.just(PrefixedName("xsd", "dateTime", XSD)), st.tuples(sub)),
-        st.builds(FnCall, st.just(Iri(XSD + "dateTime")), st.tuples(sub)),
-    )
-
-
-@given(_expressions(4))
+@given(expressions())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_every_expression_tree_round_trips(expr):
     triple = TriplePattern(Variable("s"), Variable("p"), (Variable("o"),))
     ast = QueryAst("ASK", False, None, Group((Bgp((triple,)), Filter(expr))))
-    assert parse_query(serialize_query(ast), PREFIXES).where == ast.where
+    assert parse_query(serialize_query(ast), DRAWN_PREFIXES).where == ast.where
+
+
+@given(queries())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_every_drawn_query_round_trips(ast):
+    assert parse_query(serialize_query(ast), DRAWN_PREFIXES) == ast
+
+
+@given(queries(), st.randoms(use_true_random=True))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_mutated_serializations_round_trip_or_raise_parse_errors(ast, rng):
+    _check_mutated(_mutated(serialize_query(ast), rng), DRAWN_PREFIXES)
+
+
+_RECORD_CLASSES = {kind for kind in vars(queryparse).values() if isinstance(kind, type)
+                   and issubclass(kind, Record) and kind.__module__ == queryparse.__name__}
+
+
+def test_the_strategy_draws_every_record_class_and_literal_form():
+    # what the properties above hold on: each record class of the AST, and
+    # each literal written without quotes, unsigned, with ``+`` and with ``-``
+    kinds, literals = set(), set()
+
+    @given(queries())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def draw(ast):
+        nodes = list(_walk(ast))
+        kinds.update(map(type, nodes))
+        literals.update(node for node in nodes if type(node) is Literal)
+
+    draw()
+    assert len(_RECORD_CLASSES) == 25 and kinds == _RECORD_CLASSES
+    assert set(SHORT_FORMS) <= literals
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("ASK { ?x <http://e/p> 1.5 }", Literal("1.5", _xsd("decimal"))),
+    ("PREFIX xsd: <http://e/> ASK { ?x <http://e/p> 1.5 }", Literal("1.5", _xsd("decimal"))),
+    ("ASK { ?x <http://e/p> true }", Literal("true", _xsd("boolean"))),
+    # a keyword, read in any case as lower case
+    ("ASK { ?x <http://e/p> FALSE }", Literal("false", _xsd("boolean"))),
+    ("ASK { ?x <http://e/p> 1e3 }", Literal("1e3", _xsd("double"))),
+    ("ASK { ?x <http://e/p> +1 }", Literal("+1", _xsd("integer"))),
+    ("ASK { ?x <http://e/p> ?v FILTER(?v = -1) }", Literal("-1", _xsd("integer"))),
+])
+def test_literals_written_without_quotes_read_as_sparql_types_them(text, literal):
+    # SPARQL 1.1, 19.8: each is an xsd literal whatever ``xsd:`` is bound to,
+    # and is written back as it was read
+    ast = parse_query(text)
+    assert literal in set(_walk(ast))
+    assert str(literal) == literal.lexical
+    assert parse_query(serialize_query(ast)) == ast
+
+
+@pytest.mark.parametrize("text", ["?a -1", "?a - 1", "?a-1"])
+def test_a_sign_after_an_operand_is_an_operator(text):
+    # SPARQL 1.1's AdditiveExpression: a signed number after an operand is
+    # its sign, as an operator, and the unsigned number
+    ast = parse_query(f"ASK {{ ?a ?p ?b FILTER({text} = ?b) }}")
+    one = TermRef(Literal("1", _xsd("integer")))
+    assert ast.where.items[1].expr.left == Arith("-", TermRef(Variable("a")), one)
+    assert parse_query(serialize_query(ast)) == ast

@@ -4,19 +4,23 @@ import importlib.util
 import itertools
 import random
 import re
-import string
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cqowl.queryparse import (
     And,
+    Arith,
     Bgp,
     BlankNodeLabel,
     BlankPropertyList,
     Compare,
     Filter,
     Group,
+    In,
+    Iri,
     Literal,
     PrefixedName,
     QueryAst,
@@ -25,16 +29,27 @@ from cqowl.queryparse import (
     TriplePattern,
     Variable,
     WELL_KNOWN_PREFIXES,
+    _walk,
     parse_query,
 )
+from cqowl.records import Record
 from cqowl.signatures import (
     CanonicalizationLimitExceeded,
     _Canonicalizer,
     _Namer,
+    _abstract_term,
     canonicalize,
     coverage_table,
     group_by_signature,
     render_in_source_order,
+)
+from tests.strategies import (
+    expressions,
+    oracle_minimum,
+    order_count,
+    orders,
+    queries,
+    rename_terms,
 )
 
 PREFIXES = {"ex": "http://example.org/ns#", "awo": "http://example.org/awo#"}
@@ -189,6 +204,10 @@ _NODE_KIND_SKELETONS = {
     "bind": (
         "SELECT * WHERE { ?x a ex:C . BIND(now() AS ?t) }",
         "SELECT * WHERE {\n?v1 a :URI .\nBIND(now() AS ?v2)\n}"),
+    # only a variable follows AS, so a bound placeholder is a variable there
+    "bind of a placeholder": (
+        "SELECT * WHERE { ?x ex:p $p . BIND(?x AS $p) }",
+        "SELECT * WHERE {\n?v1 :URI :URI .\nBIND(?v1 AS ?v2)\n}"),
     "two-way union": (
         "SELECT * WHERE { { ?x a ex:C } UNION { ?x a ex:D } }",
         "SELECT * WHERE {\n{\n?v1 a :URI .\n} UNION {\n?v1 a :URI .\n}\n}"),
@@ -266,136 +285,22 @@ def _random_ast(rng: random.Random) -> QueryAst:
                     Group(tuple(items)))
 
 
-def _rename_terms(ast: QueryAst, rng: random.Random) -> QueryAst:
-    iri_map = {}
-    var_map = {}
-    blank_map = {}
-
-    def map_term(t):
-        if isinstance(t, PrefixedName) and t.prefix == "ex" and t.local.startswith("C"):
-            return iri_map.setdefault(t, _name("ex", f"R{len(iri_map)}{rng.randint(0, 9)}"))
-        if isinstance(t, Variable):
-            return var_map.setdefault(t, Variable(f"w{len(var_map)}{rng.randint(0, 9)}"))
-        if isinstance(t, BlankNodeLabel):
-            return blank_map.setdefault(t, BlankNodeLabel(f"k{len(blank_map)}{rng.randint(0, 9)}"))
-        return t
-
-    def map_node(n):
-        if isinstance(n, BlankPropertyList):
-            return BlankPropertyList(tuple(
-                (map_term(p), tuple(map_node(o) for o in objs))
-                for p, objs in n.pairs
-            ), n.anon_id)
-        return map_term(n)
-
-    def map_expr(e):
-        if isinstance(e, And):
-            return And(tuple(map_expr(p) for p in e.parts))
-        if isinstance(e, Compare):
-            return Compare(e.op, map_expr(e.left), map_expr(e.right))
-        if isinstance(e, TermRef):
-            return TermRef(map_term(e.term))
-        return e
-
-    def map_item(item):
-        if isinstance(item, Bgp):
-            triples = [
-                TriplePattern(map_node(t.subject), map_term(t.predicate),
-                              tuple(map_node(o) for o in t.objects))
-                for t in item.triples
-            ]
-            rng.shuffle(triples)
-            return Bgp(tuple(triples))
-        if isinstance(item, Filter):
-            inner = map_expr(item.expr)
-            if isinstance(inner, And):
-                parts = list(inner.parts)
-                rng.shuffle(parts)
-                parts = [
-                    Compare(p.op, p.right, p.left)
-                    if isinstance(p, Compare) and rng.random() < 0.5 else p
-                    for p in parts
-                ]
-                inner = And(tuple(parts))
-            elif isinstance(inner, Compare) and rng.random() < 0.5:
-                inner = Compare(inner.op, inner.right, inner.left)
-            return Filter(inner)
-        return item
-
-    return _with_where(ast, Group(tuple(map_item(i) for i in ast.where.items)))
+@given(queries(depth=1), st.randoms(use_true_random=True))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_invariance_1000_randomized_trials(ast, rng):
+    # groups nested one deep keep every draw within the canonicalizer's bounds
+    assert canonicalize(ast).skeleton == canonicalize(rename_terms(ast, rng)).skeleton
 
 
-def _with_where(ast: QueryAst, where: Group) -> QueryAst:
-    """``ast`` with its WHERE group replaced and every other field kept."""
-    fields = dict(zip(QueryAst._fields, ast._astuple()))
-    return QueryAst(**{**fields, "where": where})
-
-
-def test_invariance_1000_randomized_trials():
-    rng = random.Random(20240601)
-    for _ in range(1000):
-        ast = _random_ast(rng)
-        transformed = _rename_terms(ast, rng)
-        assert canonicalize(ast).skeleton == canonicalize(transformed).skeleton
-
-
-def _oracle_minimum(ast: QueryAst) -> str:
-    """Global minimum rendering over every triple order, conjunct order and
-    comparison operand order, computed by exhaustive enumeration."""
-    bgp_index = [i for i, item in enumerate(ast.where.items)
-                 if isinstance(item, Bgp)]
-    assert len(bgp_index) == 1
-    bgp = ast.where.items[bgp_index[0]]
-    filters = [i for i, item in enumerate(ast.where.items)
-               if isinstance(item, Filter)]
-
-    def filter_variants(item):
-        expr = item.expr
-        conjuncts = list(expr.parts) if isinstance(expr, And) else [expr]
-        for order in itertools.permutations(conjuncts):
-            swap_space = [
-                ((c.left, c.right), (c.right, c.left)) if isinstance(c, Compare)
-                else ((None, None),)
-                for c in order
-            ]
-            for swaps in itertools.product(*swap_space):
-                rebuilt = []
-                for c, swap in zip(order, swaps):
-                    if isinstance(c, Compare):
-                        rebuilt.append(Compare(c.op, swap[0], swap[1]))
-                    else:
-                        rebuilt.append(c)
-                inner = rebuilt[0] if len(rebuilt) == 1 else And(tuple(rebuilt))
-                yield Filter(inner)
-
-    best = None
-    for perm in itertools.permutations(bgp.triples):
-        variants = [filter_variants(ast.where.items[i]) for i in filters]
-        for combo in itertools.product(*variants) if filters else [()]:
-            items = list(ast.where.items)
-            items[bgp_index[0]] = Bgp(tuple(perm))
-            for idx, filt in zip(filters, combo):
-                items[idx] = filt
-            candidate = render_in_source_order(
-                _with_where(ast, Group(tuple(items))))
-            if best is None or candidate < best:
-                best = candidate
-    return best
-
-
-def test_canonical_form_is_global_minimum_small_asts():
-    rng = random.Random(99)
-    checked = 0
-    while checked < 60:
-        ast = _random_ast(rng)
-        bgp = ast.where.items[0]
-        if len(bgp.triples) > 4:
-            continue
-        checked += 1
-        want = _oracle_minimum(ast)
-        got = canonicalize(ast).skeleton
-        assert got.split("WHERE ", 1)[1] == want.split("WHERE ", 1)[1]
-        assert got == want
+@given(queries(depth=1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_canonical_form_is_global_minimum_small_asts(ast):
+    # at most 5! orders: every draw of at most five orderable parts, and more
+    assume(order_count(ast) <= 120)
+    want = oracle_minimum(ast)
+    got = canonicalize(ast).skeleton
+    assert got.split("WHERE ", 1)[1] == want.split("WHERE ", 1)[1]
+    assert got == want
 
 
 def test_three_triple_permutations_and_blank_swaps_identical():
@@ -503,7 +408,7 @@ def test_interchangeable_parts_keep_global_minimum():
     rng = random.Random(4)
     for _ in range(150):
         ast = _pruning_query(_pruning_case(rng))
-        assert canonicalize(ast).skeleton == _oracle_minimum(ast)
+        assert canonicalize(ast).skeleton == oracle_minimum(ast)
 
 
 def test_interchangeable_parts_invariant_under_shuffle_and_renaming():
@@ -523,7 +428,7 @@ def test_object_list_shares_its_subject_across_templates():
                  for body in (f"?w ex:p ?v . {pair}", f"{pair} . ?w ex:p ?v")}
     expanded = parse_query(
         "SELECT * WHERE { ?w ex:p ?v . ?x ex:p ?y . ?x ex:p ?z }", PREFIXES)
-    assert skeletons == {_oracle_minimum(expanded)}
+    assert skeletons == {oracle_minimum(expanded)}
     assert skeletons == {
         "SELECT * WHERE {\n?v1 :URI ?v2 .\n?v1 :URI ?v3 .\n?v4 :URI ?v5 .\n}"}
 
@@ -600,7 +505,7 @@ _ONE_CLASS_CASES = {
 def test_one_class_sequences_keep_global_minimum(name):
     case = _ONE_CLASS_CASES[name]
     expected = canonicalize(_one_class_query(case)).skeleton
-    assert expected == _oracle_minimum(_one_class_query(case))
+    assert expected == oracle_minimum(_one_class_query(case))
     rng = random.Random(name)
     for _ in range(8):
         assert canonicalize(_one_class_query(case, rng)).skeleton == expected
@@ -672,7 +577,7 @@ def test_pair_of_leaves_keeps_both_tied_namings():
     ast = parse_query("SELECT * WHERE { FILTER(?a != ?b) ?b ex:p ex:C . }", PREFIXES)
     skeleton = canonicalize(ast).skeleton
     assert skeleton == "SELECT * WHERE {\nFILTER(?v1 != ?v2)\n?v1 :URI :URI .\n}"
-    assert skeleton == _oracle_minimum(ast)
+    assert skeleton == oracle_minimum(ast)
 
 
 def test_namer_copies_only_when_naming_a_new_slot():
@@ -704,64 +609,19 @@ def test_operand_that_prefixes_another_still_gives_the_minimum():
         "ASK WHERE {\n?v1 :URI ?v2 .\nFILTER(?v1 = ?v3 || ?v1)\n}")
 
 
-def _filter_operand(rng: random.Random, names: str, nested: bool):
-    """A random operand tree: ``("text", t)``, ``("pair", op, left, right)``
-    or, once per expression, ``("seq", op, operands)`` in parentheses."""
-    def var():
-        return "?" + rng.choice(names)
-    if nested and rng.random() < 0.3:
-        return ("seq", rng.choice(("&&", "||")),
-                [_filter_operand(rng, names, False) for _ in range(2)])
-    kind = rng.choice(("term", "compare", "in", "strstarts"))
-    if kind == "term":
-        return ("text", var())
-    if kind == "compare":
-        return ("pair", rng.choice(("=", "!=")), var(), rng.choice((var(), "ex:C")))
-    if kind == "in":
-        return ("text", f"{var()} IN ({var()}, ex:C)")
-    return ("text", f'STRSTARTS({var()}, "x")')
+# the most orders a FILTER's brute-force minimum renders
+_ORACLE_ORDERS = 384
 
 
-def _filter_variants(node, top: bool = False):
-    """Every text of ``node`` over its operand orders and operand swaps."""
-    if node[0] == "text":
-        yield node[1]
-    elif node[0] == "pair":
-        _, op, left, right = node
-        for first, second in ((left, right), (right, left)):
-            for a, b in itertools.product(_operand_texts(first), _operand_texts(second)):
-                yield f"{a} {op} {b}"
-    else:
-        _, op, operands = node
-        for order in itertools.permutations(operands):
-            for texts in itertools.product(*(list(_filter_variants(o)) for o in order)):
-                body = f" {op} ".join(texts)
-                yield body if top else f"({body})"
-
-
-def _operand_texts(operand) -> list[str]:
-    """The texts of a comparison's operand: a term, or a nested ``pair``
-    node in brackets."""
-    if type(operand) is str:
-        return [operand]
-    return [f"({text})" for text in _filter_variants(operand)]
-
-
-def test_filter_operand_kinds_keep_global_minimum():
-    rng = random.Random(1212)
-    for _ in range(1000):
-        operands = []
-        for _ in range(rng.randint(2, 3)):
-            nested = not any(o[0] == "seq" for o in operands)
-            operands.append(_filter_operand(rng, "abcd", nested))
-        expr = ("seq", rng.choice(("&&", "||")), operands)
-        query = "ASK {{ ?a ex:p ?b . FILTER({}) }}"
-        texts = list(_filter_variants(expr, top=True))
-        want = min(render_in_source_order(parse_query(query.format(t), PREFIXES))
-                   for t in texts)
-        for text in (texts[0], rng.choice(texts)):
-            assert canonicalize(parse_query(query.format(text), PREFIXES)).skeleton \
-                == want, text
+@given(expressions(), st.randoms(use_true_random=True))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_filter_operand_kinds_keep_global_minimum(expr, rng):
+    ast = _with_filter("?a ex:p ?b .", expr)
+    assume(order_count(ast) <= _ORACLE_ORDERS)
+    want = oracle_minimum(ast)
+    # the same for the query shuffled and renamed
+    for form in (ast, rename_terms(ast, rng)):
+        assert canonicalize(form).skeleton == want, form
 
 
 # ---------------------------------------------------------------------------
@@ -769,88 +629,62 @@ def test_filter_operand_kinds_keep_global_minimum():
 # different characters under every naming are put in order during
 # abstraction, and the search never tries the other order
 
-# one or more operands per first character a rendering can begin with: a
-# variable renders from ``?``, a blank from ``_``, a placeholder, a domain
-# IRI and every literal from ``:``, a reserved name from its own first letter
-_COMPARED = ["?x", "?y", "$p", "_:b", "_:z", "owl:Nothing", "rdf:type", "ex:C", "ex:D",
-             '"a"', '"1"^^xsd:integer', '"a"@en']
-# two triples that render alike, so two naming states tie until the FILTER
-_COMPARED_BGP = ["?x ex:p _:b .", "?y ex:p _:z ."]
-_COMPARED_TERM = re.compile(r'(\?\w+|\$\w+|_:\w+|"[^"]*"(?:\^\^xsd:\w+|@\w+)?|\w+:\w+)')
-
-
-def _comparison_tree(rng: random.Random):
-    """A FILTER ``&&``/``||`` tree in the node format of ``_filter_operand``:
-    two or three ``=``/``!=`` operands, at most one of them a nested tree."""
-    def pair():
-        return ("pair", rng.choice(("=", "!=")), rng.choice(_COMPARED), rng.choice(_COMPARED))
-    operands = [pair() for _ in range(rng.randint(2, 3))]
-    if rng.random() < 0.4:
-        operands[-1] = ("seq", rng.choice(("&&", "||")), [pair(), pair()])
-    return ("seq", rng.choice(("&&", "||")), operands)
-
-
 def _compared_query(triples, filter_text: str) -> QueryAst:
     return parse_query(f"SELECT * WHERE {{ {' '.join(triples)} FILTER({filter_text}) }}",
                        PREFIXES)
 
 
-def _renamed(text: str, rng: random.Random) -> str:
-    """``text`` with every variable, placeholder, blank and domain IRI given
-    a fresh name, the same name for each occurrence."""
-    names: dict = {}
-
-    def fresh(match):
-        term = match[0]
-        for head in ("?", "$", "_:", "ex:"):
-            if term.startswith(head):
-                if term not in names:
-                    names[term] = f"{head}{rng.choice(string.ascii_lowercase)}{len(names)}"
-                return names[term]
-        return term
-    return _COMPARED_TERM.sub(fresh, text)
+def _with_filter(triples: str, expr) -> QueryAst:
+    """``SELECT * WHERE { triples FILTER(expr) }``, for a drawn ``expr``."""
+    where = parse_query(f"SELECT * WHERE {{ {triples} }}", PREFIXES).where
+    return QueryAst("SELECT", False, STAR, Group(where.items + (Filter(expr),)))
 
 
-def _source_order_pattern(filter_text: str) -> str:
-    """A regex for the FILTER line that renders ``filter_text`` with every
-    operand where the text has it."""
-    def abstracted(term: str) -> str:
-        if term[0] == "?":
-            return r"\?v\d+"
-        if term.startswith("_:"):
-            return r"_:b\d+"
-        if term[0] == '"':
-            return re.escape(":LIT" + (term.split('"')[2] if "^^" in term else ""))
-        if term[0] == "$" or term.startswith("ex:"):
-            return ":URI"
-        return re.escape(term)
-    pieces = _COMPARED_TERM.split(filter_text)
-    return r"\nFILTER\(" + "".join(
-        abstracted(piece) if i % 2 else re.escape(piece)
-        for i, piece in enumerate(pieces)) + r"\)\n"
+# a term of an abstracted rendering: a named slot, an abstracted literal or
+# IRI, or a reserved name
+_RENDERED_TERM = re.compile(r"\?v\d+|_:b\d+|:LIT(?:\^\^(?::URI|\w+:\w+))?|:URI|\w+:\w+")
+_TERM_KINDS = (Variable, Iri, PrefixedName, Literal, BlankNodeLabel)
 
 
-def test_decided_comparisons_keep_global_minimum():
-    rng = random.Random(2020)
-    for _ in range(60):
-        tree = _comparison_tree(rng)
-        texts = list(_filter_variants(tree, top=True))
-        want = min(render_in_source_order(_compared_query(triples, text))
-                   for triples in itertools.permutations(_COMPARED_BGP) for text in texts)
-        source = _compared_query(_COMPARED_BGP, texts[0])
-        assert canonicalize(source).skeleton == want, texts[0]
-        if all(operand[0] == "pair" for operand in tree[2]) and tree[1] == "&&":
-            assert _oracle_minimum(source) == want
-        # any operand order, conjunct order, triple order and naming
-        for _ in range(3):
-            text = _renamed(" ".join(rng.sample(_COMPARED_BGP, 2))
-                            + " FILTER(" + rng.choice(texts) + ")", rng)
-            ast = parse_query(f"SELECT * WHERE {{ {text} }}", PREFIXES)
-            assert canonicalize(ast).skeleton == want, text
-        # without search, every operand stays where the text has it
-        for text in (texts[0], rng.choice(texts)):
-            rendered = render_in_source_order(_compared_query(_COMPARED_BGP, text))
-            assert re.search(_source_order_pattern(text), rendered), (text, rendered)
+def _source_order_terms(ast: QueryAst) -> list[str]:
+    """The terms of ``ast``'s WHERE group abstracted in the order the query
+    writes them, each variable and blank named by its first occurrence."""
+    names: dict = {"var": {}, "blank": {}}
+    out = []
+
+    def visit(node):
+        if type(node) in _TERM_KINDS:
+            for tok in _abstract_term(node):
+                if type(tok) is tuple:
+                    kind, key = tok
+                    head = "?v" if kind == "var" else "_:b"
+                    tok = names[kind].setdefault(key, f"{head}{len(names[kind]) + 1}")
+                out.append(tok)
+        elif isinstance(node, tuple):
+            for item in node:
+                visit(item)
+        elif isinstance(node, Record):
+            visit(node._astuple())
+
+    visit(ast.where)
+    return out
+
+
+@given(expressions(), st.randoms(use_true_random=True))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_decided_comparisons_keep_global_minimum(expr, rng):
+    # two triples that render alike, so two naming states tie until the FILTER
+    ast = _with_filter("?a ex:p _:b1 . ?b ex:p _:b2 .", expr)
+    assume(order_count(ast) <= _ORACLE_ORDERS)
+    want = oracle_minimum(ast)
+    assert canonicalize(ast).skeleton == want
+    # any operand order, conjunct order, triple order and naming
+    assert canonicalize(rename_terms(ast, rng)).skeleton == want
+    # without search, every triple, conjunct and operand stays where the
+    # query writes it
+    for form in (ast, rng.choice(orders(ast))):
+        rendered = render_in_source_order(form)
+        assert _RENDERED_TERM.findall(rendered) == _source_order_terms(form), rendered
 
 
 def test_bundled_queries_branch_total(bundle):
@@ -865,34 +699,12 @@ def test_bundled_queries_branch_total(bundle):
 # nested comparisons: a comparison or IN that is an operand of a comparison,
 # IN or arithmetic keeps its brackets, so each skeleton is itself a query
 
-_NESTED_TERMS = ["?a", "?b", "?c", "?d", "ex:C", '"x"']
-_NESTED_BGP = ["?a ex:p ?b .", "?c ex:p ?d ."]
 # comparisons and IN in every operand position that needs brackets
 _NESTED_BY_HAND = ["(?a = ?b) = ?c", "?a = (?b = ?c)", "(?a != ?b) != (?c != ?b)",
                    "?a != (?b != (?b != ?c))", "((?a = ?b)) = ?c",
                    "(?a IN (?b, ex:C)) = ?c", "(?a = ?b) IN (?c, ex:C)",
                    "(?a IN (?b)) IN (?c, ?d = ex:C)", "(?a = ?b) + ?c = ?d",
                    "?a - (?b IN (?c)) != ?d"]
-
-
-def _nested_comparison(rng: random.Random, depth: int = 3):
-    """An ``=``/``!=`` tree of at most ``depth`` levels in the node format
-    of ``_filter_operand``: each operand is a term or such a tree."""
-    def operand():
-        if depth > 1 and rng.random() < 0.4:
-            return _nested_comparison(rng, depth - 1)
-        return rng.choice(_NESTED_TERMS)
-    return ("pair", rng.choice(("=", "!=")), operand(), operand())
-
-
-def _nested_comparisons(rng: random.Random, count: int) -> list:
-    """``count`` trees of ``_nested_comparison``, each nesting one at least."""
-    trees = []
-    while len(trees) < count:
-        tree = _nested_comparison(rng)
-        if type(tree[2]) is tuple or type(tree[3]) is tuple:
-            trees.append(tree)
-    return trees
 
 
 def test_nested_comparisons_keep_their_brackets():
@@ -912,14 +724,28 @@ def test_nested_comparisons_keep_their_brackets():
     }
 
 
-def test_nested_comparisons_keep_global_minimum():
-    rng = random.Random(2121)
-    for tree in _nested_comparisons(rng, 250):
-        texts = list(_filter_variants(tree, top=True))
-        want = min(render_in_source_order(_compared_query(triples, text))
-                   for triples in itertools.permutations(_NESTED_BGP) for text in texts)
-        for text in (texts[0], rng.choice(texts)):
-            assert canonicalize(_compared_query(_NESTED_BGP, text)).skeleton == want, text
+def _nests_a_comparison(expr) -> bool:
+    """Whether a comparison or IN in ``expr`` is an operand of a comparison,
+    IN or arithmetic."""
+    operands = [(node.needle,) if type(node) is In else (node.left, node.right)
+                for node in _walk(expr) if type(node) in (Compare, In, Arith)]
+    return any(type(operand) in (Compare, In) for pair in operands for operand in pair)
+
+
+# comparisons at most three deep that nest a comparison or IN
+_NESTED = st.builds(Compare, st.sampled_from(("=", "!=")), expressions(2),
+                    expressions(2)).filter(_nests_a_comparison)
+
+
+@given(_NESTED, st.randoms(use_true_random=True))
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_nested_comparisons_keep_global_minimum(expr, rng):
+    ast = _with_filter("?a ex:p ?b . ?c ex:p ?d .", expr)
+    assume(order_count(ast) <= _ORACLE_ORDERS)
+    want = oracle_minimum(ast)
+    # the same for the query shuffled and renamed
+    for form in (ast, rename_terms(ast, rng)):
+        assert canonicalize(form).skeleton == want, form
 
 
 def _gen_queries() -> list[QueryAst]:
@@ -933,35 +759,27 @@ def _gen_queries() -> list[QueryAst]:
             for queries in gen.adversarial_set(seed) for record in queries]
 
 
-def _filter_operand_queries(rng: random.Random, count: int) -> list[QueryAst]:
-    """Queries whose FILTER is an ``&&``/``||`` of ``_filter_operand`` trees,
-    built as ``test_filter_operand_kinds_keep_global_minimum`` builds them."""
-    queries = []
-    for _ in range(count):
-        operands = []
-        for _ in range(rng.randint(2, 3)):
-            nested = not any(o[0] == "seq" for o in operands)
-            operands.append(_filter_operand(rng, "abcd", nested))
-        text = next(_filter_variants(("seq", rng.choice(("&&", "||")), operands), top=True))
-        queries.append(parse_query(f"ASK {{ ?a ex:p ?b . FILTER({text}) }}", PREFIXES))
-    return queries
-
-
 def _fixed_point_inputs(family: str, request) -> list[QueryAst]:
     if family == "bundled":
         return list(request.getfixturevalue("bundle").asts.values())
     if family == "gen":
         return _gen_queries()
-    if family == "random ast":
-        rng = random.Random(5)
-        return [_random_ast(rng) for _ in range(1500)]
-    if family == "filter operands":
-        return _filter_operand_queries(random.Random(33), 1000)
     if family == "rdf:type":
         return [parse_query(text, PREFIXES) for text in _RDF_TYPE_OUTSIDE_A_VERB]
-    texts = _NESTED_BY_HAND + [next(_filter_variants(tree, top=True))
-                               for tree in _nested_comparisons(random.Random(21), 200)]
-    return [_compared_query(_NESTED_BGP, text) for text in texts]
+    if family == "nested":
+        return [_compared_query([], text) for text in _NESTED_BY_HAND]
+    return []
+
+
+# each family's strategy and its number of draws
+_FIXED_POINT_DRAWS = {
+    "random ast": (queries(depth=1), 1500),
+    "filter operands": (expressions().map(lambda expr: _with_filter("?a ex:p ?b .", expr)),
+                        1000),
+    "nested": (_NESTED.map(lambda expr: _with_filter("?a ex:p ?b . ?c ex:p ?d .", expr)),
+               300),
+    "strategy": (queries(), 300),
+}
 
 
 # a skeleton writes rdf:type as ``a`` only where SPARQL admits ``a``: as a verb
@@ -974,12 +792,18 @@ _RDF_TYPE_OUTSIDE_A_VERB = [
 
 
 @pytest.mark.parametrize("family", ["bundled", "gen", "random ast", "filter operands",
-                                    "nested", "rdf:type"])
+                                    "nested", "rdf:type", "strategy"])
 def test_skeleton_is_a_query_that_canonicalizes_to_itself(family, request):
     # each :LIT is written as a literal, keeping its datatype, and only ``:``
     # is declared: the parser knows the reserved prefixes
-    for ast in _fixed_point_inputs(family, request):
+    def check(ast):
         skeleton = canonicalize(ast).skeleton
         again = parse_query(skeleton.replace(":LIT", '"LIT"'),
                             {"": "http://example.org/skeleton#"})
         assert canonicalize(again).skeleton == skeleton, skeleton
+
+    for ast in _fixed_point_inputs(family, request):
+        check(ast)
+    if family in _FIXED_POINT_DRAWS:
+        draws, count = _FIXED_POINT_DRAWS[family]
+        settings(max_examples=count, deadline=None, derandomize=True)(given(draws)(check))()
